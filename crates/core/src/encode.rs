@@ -517,9 +517,8 @@ fn check_presolve(enc: &EncodedModel, app: &Application) -> Result<(), ScheduleE
     check_presolve_with(&enc.model, &name_of)
 }
 
-/// Builds the encoding and runs only the CPM presolve — the daemon's
-/// pre-admission check: an over-constrained spec is rejected before it
-/// ever occupies a solver slot.
+/// Builds the encoding and runs only the CPM presolve: an
+/// over-constrained spec is rejected without a single search node.
 ///
 /// # Errors
 ///

@@ -99,9 +99,9 @@ pub fn schedule_soft_controlled<S: SoftStatistic + ?Sized>(
 /// inputs, builds the CSP encoding, closes its difference-constraint
 /// subsystem, and — without exploring a single search node — rejects an
 /// over-constrained spec with a named-task
-/// [`ScheduleError::InfeasibleTiming`] explanation. The daemon calls
-/// this before admission so a hopeless request never occupies a solver
-/// slot.
+/// [`ScheduleError::InfeasibleTiming`] explanation. With
+/// `cfg.lower_bound` set the exact solve runs the same check before
+/// searching; this entry point gives the verdict without a solve.
 ///
 /// `Ok(())` only clears the *timing* relaxation; the full problem may
 /// still be infeasible for reliability reasons the relaxation cannot

@@ -10,11 +10,10 @@
 //!   `netdag schedule --out` writes.
 //! * `batch_solve` — a vector of solve problems ([`BatchItem`]) sharing
 //!   the request's `config` and `deadline_ms`. The server fingerprints
-//!   and presolves each distinct problem once, groups the batch by
-//!   destination shard, and answers with one `batch` array of per-item
-//!   responses in request order; items on the same shard run
-//!   back-to-back, so repeats hit the cache and structural neighbours
-//!   chain warm starts within the batch.
+//!   each item, groups the batch by destination shard, and answers with
+//!   one `batch` array of per-item responses in request order; items on
+//!   the same shard run back-to-back, so repeats hit the cache and
+//!   structural neighbours chain warm starts within the batch.
 //! * `mode_solve` — co-synthesize a multi-mode schedule set from an
 //!   embedded [`ModesSpec`] (the same document `netdag schedule
 //!   --modes` reads); the answer carries the [`ModeScheduleExport`]
@@ -86,7 +85,7 @@ pub struct ConfigSpec {
     /// Disable the relaxation lower bound and CPM presolve (default
     /// false = enabled), mirroring the CLI's `--no-lb`. A/B knob: never
     /// changes the optimum, only search effort and whether infeasible
-    /// timing is rejected pre-admission with an explanation.
+    /// timing is rejected with a named explanation at zero nodes.
     pub no_lb: Option<bool>,
 }
 

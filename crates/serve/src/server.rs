@@ -18,12 +18,11 @@
 //!   [`Ring`], then admitted to that shard's bounded queue — when it is
 //!   full, or after shutdown began, the request is rejected immediately
 //!   with a structured reason rather than queued without bound.
-//!   `batch_solve` fingerprints and presolves each distinct problem
-//!   once, groups the batch by destination shard, enqueues one job per
-//!   shard (all-or-nothing), and reassembles the per-item responses in
-//!   request order. The two read-only probes (`metrics`, `health`) are
-//!   excluded from request counting so polling them never perturbs the
-//!   telemetry they report.
+//!   `batch_solve` fingerprints each item, groups the batch by
+//!   destination shard, enqueues one job per shard (all-or-nothing),
+//!   and reassembles the per-item responses in request order. The two
+//!   read-only probes (`metrics`, `health`) are excluded from request
+//!   counting so polling them never perturbs the telemetry they report.
 //! * **Shards** each own an LRU solution cache, a mode cache, and
 //!   [`ServeConfig::workers`] worker threads (a
 //!   [`netdag_runtime::run_indexed`] fan-out of `shards × workers`).
@@ -33,7 +32,9 @@
 //!   count. Each solve first probes its shard's cache: an exact hit
 //!   answers verbatim with zero solver nodes; a structural hit
 //!   warm-starts branch-and-bound through [`SolveControl`]; a miss
-//!   solves cold. A per-request deadline is enforced by the same
+//!   solves cold. Timing infeasibility is left to the solve's own CPM
+//!   presolve (zero search nodes): there is no screen before admission,
+//!   so an exact hit never pays for the closure. A per-request deadline is enforced by the same
 //!   controller — expiry returns the best incumbent found so far,
 //!   marked incomplete.
 //! * **Warm restart** ([`ServeConfig::cache_snapshot`]): at startup the
@@ -70,10 +71,10 @@ use netdag_core::config::{Backend, RoundStructure, ScheduleError, SchedulerConfi
 use netdag_core::constraints::{Deadlines, WeaklyHardConstraints};
 use netdag_core::control::{ControlledOutcome, SolveControl};
 use netdag_core::modes::schedule_modes;
-use netdag_core::soft::{presolve_soft, schedule_soft_controlled};
-use netdag_core::spec::{ScheduleExport, SoftSpec};
+use netdag_core::soft::schedule_soft_controlled;
+use netdag_core::spec::ScheduleExport;
 use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
-use netdag_core::weakly_hard::{presolve_weakly_hard, schedule_weakly_hard_controlled};
+use netdag_core::weakly_hard::schedule_weakly_hard_controlled;
 use netdag_obs::{counter, keys, Gauge, SloGate, SloInputs, SloReport, WindowedHist};
 use netdag_runtime::{run_indexed, ExecPolicy};
 use netdag_validation::soft::validate_soft_par;
@@ -705,13 +706,6 @@ fn process_line(shared: &Shared, line: &str) -> Response {
             Response::status(req.id, STATUS_OK)
         }
         "solve" => {
-            // CPM presolve on the connection thread: a spec whose timing
-            // subsystem is provably over-constrained is rejected with a
-            // named explanation and zero search nodes, without ever
-            // occupying a queue slot or a worker.
-            if let Some(resp) = presolve_reject(&req) {
-                return resp;
-            }
             // The fingerprint is computed here both to route the
             // request onto its owning shard (by *structural* hash, so a
             // whole warm-start family shares one cache regardless of
@@ -728,12 +722,6 @@ fn process_line(shared: &Shared, line: &str) -> Response {
             )
         }
         "mode_solve" => {
-            // Same pre-admission screen, run once per mode: a mode set
-            // with one provably over-constrained member is rejected with
-            // a mode-labeled witness before occupying a queue slot.
-            if let Some(resp) = presolve_reject_modes(&req) {
-                return resp;
-            }
             let shard = req.modes.as_ref().map_or(0, |m| {
                 shared.ring.route(mode_fingerprint(m, &config_from(&req)))
             });
@@ -839,129 +827,6 @@ fn handle_health(shared: &Shared, req: &Request) -> Response {
     resp
 }
 
-/// Runs the CPM timing presolve for a solve request. `Some(response)`
-/// means the spec is provably infeasible and already answered;
-/// `None` means "admit normally" — either the relaxation is feasible or
-/// the request is malformed in a way the worker path reports with its
-/// usual diagnostics (this function never duplicates those).
-fn presolve_reject(req: &Request) -> Option<Response> {
-    let app_spec = req.app.as_ref()?;
-    if req.soft.is_some() && req.weakly_hard.is_some() {
-        return None;
-    }
-    let cfg = config_from(req);
-    if !cfg.lower_bound || cfg.backend == Backend::Greedy {
-        return None;
-    }
-    let (app, names) = app_spec.build().ok()?;
-    let stat = normalized_stat(req);
-    let result = if let Some(soft) = req.soft.as_ref() {
-        if stat.kind != "eq15" {
-            return None;
-        }
-        let fss = req.stat.as_ref().and_then(|s| s.fss)?;
-        let f = soft.build(&names).ok()?;
-        presolve_soft(
-            &app,
-            &Eq15Statistic::new(fss, cfg.chi_max),
-            &f,
-            &Deadlines::new(),
-            &cfg,
-        )
-    } else {
-        if stat.kind != "eq13" {
-            return None;
-        }
-        let f = match req.weakly_hard.as_ref() {
-            Some(spec) => spec.build(&names).ok()?,
-            None => WeaklyHardConstraints::new(),
-        };
-        presolve_weakly_hard(
-            &app,
-            &Eq13Statistic::new(cfg.chi_max),
-            &f,
-            &Deadlines::new(),
-            &cfg,
-        )
-    };
-    match result {
-        Err(ScheduleError::InfeasibleTiming(e)) => {
-            netdag_trace::instant(
-                "serve.presolve_reject",
-                &[("id", req.id.unwrap_or(0).into())],
-            );
-            let fp = fingerprint(
-                app_spec,
-                req.soft.as_ref(),
-                req.weakly_hard.as_ref(),
-                &stat,
-                &cfg,
-            );
-            let mut resp = Response::status(req.id, STATUS_INFEASIBLE);
-            resp.reason = Some(format!("timing presolve: {e}"));
-            resp.fingerprint = Some(fp.hex());
-            Some(resp)
-        }
-        _ => None,
-    }
-}
-
-/// Runs the CPM timing presolve once per mode of a `mode_solve`
-/// request, on the connection thread. `Some(response)` means one mode's
-/// timing subsystem is provably infeasible — the response names that
-/// mode in its reason — and the request never occupies a queue slot.
-/// `None` admits normally; malformed mode sets are reported by the
-/// worker path with its usual diagnostics.
-fn presolve_reject_modes(req: &Request) -> Option<Response> {
-    let spec = req.modes.as_ref()?;
-    let cfg = config_from(req);
-    if !cfg.lower_bound || cfg.backend == Backend::Greedy {
-        return None;
-    }
-    let (app, names) = spec.app.build().ok()?;
-    for mode in &spec.modes {
-        let result = match (&mode.soft, &mode.weakly_hard) {
-            (Some(soft), None) => {
-                let f = SoftSpec {
-                    constraints: soft.constraints.clone(),
-                }
-                .build(&names)
-                .ok()?;
-                presolve_soft(
-                    &app,
-                    &Eq15Statistic::new(soft.fss, cfg.chi_max),
-                    &f,
-                    &Deadlines::new(),
-                    &cfg,
-                )
-            }
-            (None, Some(wh)) => {
-                let f = wh.build(&names).ok()?;
-                presolve_weakly_hard(
-                    &app,
-                    &Eq13Statistic::new(cfg.chi_max),
-                    &f,
-                    &Deadlines::new(),
-                    &cfg,
-                )
-            }
-            // Invalid constraint mix: let the worker report it.
-            _ => return None,
-        };
-        if let Err(ScheduleError::InfeasibleTiming(e)) = result {
-            netdag_trace::instant(
-                "serve.presolve_reject",
-                &[("id", req.id.unwrap_or(0).into())],
-            );
-            let mut resp = Response::status(req.id, STATUS_INFEASIBLE);
-            resp.reason = Some(format!("mode '{}': timing presolve: {e}", mode.name));
-            resp.fingerprint = Some(format!("{:016x}", mode_fingerprint(spec, &cfg)));
-            return Some(resp);
-        }
-    }
-    None
-}
-
 /// Admits one unit of [`Work`] to shard `shard_idx`'s bounded queue
 /// and blocks until its worker responds. Rejection (shutdown or a full
 /// shard queue) is answered inline with a structured reason.
@@ -998,12 +863,10 @@ fn admit(shared: &Shared, shard_idx: usize, work: Work) -> Response {
     slot.wait()
 }
 
-/// Answers a `batch_solve` request: every item is fingerprinted and
-/// CPM-presolved up front (the presolve verdict memoized per canonical
-/// fingerprint, so N structurally identical items pay for one presolve),
-/// the survivors are grouped by owning shard and enqueued
-/// all-or-nothing, and the per-item responses are gathered back into
-/// one envelope in request order.
+/// Answers a `batch_solve` request: every item is fingerprinted, the
+/// items are grouped by owning shard and enqueued all-or-nothing, and
+/// the per-item responses are gathered back into one envelope in
+/// request order.
 fn handle_batch(shared: &Shared, req: Request) -> Response {
     let id = req.id;
     let Some(items) = req.batch.as_ref() else {
@@ -1017,7 +880,6 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
     // in the batch). BTreeMap so the multi-queue lock below is taken in
     // ascending shard order — the only multi-lock site in the daemon.
     let mut groups: BTreeMap<usize, Vec<(usize, Request, Fingerprint)>> = BTreeMap::new();
-    let mut presolved: BTreeMap<u64, Option<Response>> = BTreeMap::new();
     for (i, item) in items.iter().enumerate() {
         // Each item solves as if it were a standalone `solve` request
         // inheriting the envelope's config and deadline.
@@ -1034,13 +896,6 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
             answers[i] = Some(Response::error(id, "batch item needs an \"app\" spec"));
             continue;
         };
-        let verdict = presolved
-            .entry(fp.full)
-            .or_insert_with(|| presolve_reject(&sub));
-        if let Some(resp) = verdict {
-            answers[i] = Some(resp.clone());
-            continue;
-        }
         groups
             .entry(shared.ring.route(fp.structural))
             .or_default()
@@ -1520,8 +1375,8 @@ fn handle_solve(
             resp.fingerprint = Some(fp.hex());
             (resp, 0)
         }
-        // Normally caught pre-admission; kept as the worker-path answer
-        // for configurations the connection-thread check skips.
+        // The CPM presolve inside the solve proved the timing subsystem
+        // over-constrained: a named witness and zero search nodes.
         Err(ScheduleError::InfeasibleTiming(e)) => {
             let mut resp = Response::status(id, STATUS_INFEASIBLE);
             resp.reason = Some(format!("timing presolve: {e}"));
@@ -1613,8 +1468,8 @@ fn handle_mode_solve(shard: &ShardState, req: &Request) -> (Response, u64) {
             resp.fingerprint = Some(hex);
             (resp, 0)
         }
-        // Normally caught pre-admission; kept as the worker-path answer
-        // for configurations the connection-thread check skips.
+        // One mode's CPM presolve proved its timing subsystem
+        // over-constrained; the witness names that mode.
         Err(ScheduleError::InfeasibleTiming(e)) => {
             let mut resp = Response::status(id, STATUS_INFEASIBLE);
             resp.reason = Some(format!("timing presolve: {e}"));

@@ -5,12 +5,14 @@
 //!
 //! This test owns the process-global trace collector, so it lives in
 //! its own integration binary — sharing one with other daemon tests
-//! would interleave their spans into the drained trace.
+//! would interleave their spans into the drained trace. The two tests
+//! in this file still share that collector, so each holds [`SERIAL`]
+//! for its whole run.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use netdag_core::spec::{AppSpec, EdgeSpec, TaskSpec, WeaklyHardEntry, WeaklyHardSpec};
@@ -18,6 +20,15 @@ use netdag_serve::protocol::{Request, Response, STATUS_OK};
 use netdag_serve::{serve, ServeConfig, ServeReport};
 use netdag_trace::EventKind;
 use serde::Value;
+
+/// Serializes this file's daemons: a sibling test's `serve.request`
+/// spans would otherwise land in the trace drained below.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock but leaves nothing to repair.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn pipeline_app() -> AppSpec {
     AppSpec {
@@ -90,6 +101,7 @@ fn as_str(v: &Value) -> &str {
 /// drained `serve.request` trace spans.
 #[test]
 fn access_log_rid_matches_trace_span_rid() {
+    let _serial = serial();
     let log_path = std::env::temp_dir().join(format!(
         "netdag_access_log_test_{}.ndjson",
         std::process::id()
@@ -211,6 +223,7 @@ fn access_log_rid_matches_trace_span_rid() {
 /// `serve.access_log.dropped` counter exactly once.
 #[test]
 fn failed_access_log_writes_are_counted_not_fatal() {
+    let _serial = serial();
     if !std::path::Path::new("/dev/full").exists() {
         eprintln!("skipping: /dev/full not available on this platform");
         return;

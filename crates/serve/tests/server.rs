@@ -12,8 +12,8 @@ use netdag_core::spec::{
     AppSpec, EdgeSpec, SoftEntry, SoftSpec, TaskSpec, WeaklyHardEntry, WeaklyHardSpec,
 };
 use netdag_serve::protocol::{
-    ConfigSpec, Request, Response, RollingStats, StatSpec, REASON_QUEUE_FULL, STATUS_ERROR,
-    STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK, STATUS_REJECTED,
+    BatchItem, ConfigSpec, Request, Response, RollingStats, StatSpec, REASON_QUEUE_FULL,
+    STATUS_ERROR, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK, STATUS_REJECTED,
 };
 use netdag_serve::{serve, ServeConfig, ServeReport};
 
@@ -228,8 +228,8 @@ fn mode_request(id: u64, spec: ModesSpec) -> Request {
 }
 
 /// `mode_solve` end to end: cold joint solve, verbatim repeat from the
-/// exact-only mode cache, worker-path infeasibility, and the per-mode
-/// connection-thread presolve rejection with a mode-labeled witness.
+/// exact-only mode cache, reliability infeasibility, and the per-mode
+/// timing presolve rejection with a mode-labeled witness.
 #[test]
 fn mode_solve_flow_and_cache() {
     let (addr, report_rx) = start_server(ServeConfig::default());
@@ -285,7 +285,7 @@ fn mode_solve_flow_and_cache() {
     assert_eq!(ri.status, STATUS_INFEASIBLE);
 
     // A mode whose timing subsystem is provably over-constrained is
-    // rejected pre-admission, naming the offending mode.
+    // rejected by its presolve at zero nodes, naming the offending mode.
     let mut doomed = spec;
     doomed.modes[1] = ModeSpec {
         name: "degraded".into(),
@@ -355,10 +355,10 @@ fn validate_and_protocol_errors() {
 /// A spec whose timing subsystem is provably over-constrained (the
 /// soft requirement exceeds what any `χ ≤ chi_max` can deliver on a
 /// single message, a unary row in the difference subsystem) is rejected
-/// by the connection thread's CPM presolve: a structured `infeasible`
-/// response with a named explanation, zero search nodes, and no queue
-/// slot ever occupied. With `no_lb` the same request goes through the
-/// worker and gets the search-proof rejection instead.
+/// by the CPM presolve the worker's solve runs before searching: a
+/// structured `infeasible` response with a named explanation and zero
+/// search nodes. With `no_lb` the presolve is off and the same request
+/// gets the search-proof rejection instead.
 #[test]
 fn timing_infeasible_spec_is_rejected_pre_admission() {
     let (addr, report_rx) = start_server(ServeConfig::default());
@@ -397,6 +397,115 @@ fn timing_infeasible_spec_is_rejected_pre_admission() {
 
     c.send(&Request::op("shutdown"));
     let _ = report_rx.recv_timeout(Duration::from_secs(30));
+}
+
+/// The timing presolve runs only inside the worker's solve, so a
+/// timing-infeasible problem gets the same answer however it arrives.
+/// Standalone, and twice inside one `batch_solve` next to a feasible
+/// item, all three infeasible answers are byte-identical apart from
+/// `id`; the feasible item still solves; and the access log holds one
+/// line per worker job, the standalone one `infeasible` at zero nodes.
+#[test]
+fn timing_infeasible_answer_is_identical_standalone_and_batched() {
+    let log_path = std::env::temp_dir().join(format!(
+        "netdag_timing_infeasible_{}.ndjson",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&log_path);
+    let (addr, report_rx) = start_server(ServeConfig {
+        shards: 1,
+        workers: 1,
+        access_log: Some(log_path.clone()),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+
+    let doomed = BatchItem {
+        app: Some(pipeline_app()),
+        soft: Some(SoftSpec {
+            constraints: vec![SoftEntry {
+                task: "act".into(),
+                probability: 0.99,
+            }],
+        }),
+        weakly_hard: None,
+        stat: Some(StatSpec {
+            kind: "eq15".into(),
+            fss: Some(0.3),
+        }),
+    };
+    let feasible = BatchItem {
+        app: Some(pipeline_app()),
+        soft: None,
+        weakly_hard: Some(wh_spec(10, 40)),
+        stat: None,
+    };
+
+    let mut single = Request::op("solve");
+    single.id = Some(1);
+    single.app = doomed.app.clone();
+    single.soft = doomed.soft.clone();
+    single.stat = doomed.stat.clone();
+    let standalone = c.send(&single);
+    assert_eq!(
+        standalone.status, STATUS_INFEASIBLE,
+        "{:?}",
+        standalone.reason
+    );
+    assert!(standalone
+        .reason
+        .as_deref()
+        .is_some_and(|r| r.starts_with("timing presolve: ")));
+
+    let mut batch = Request::op("batch_solve");
+    batch.id = Some(2);
+    batch.batch = Some(vec![doomed.clone(), feasible, doomed]);
+    let envelope = c.send(&batch);
+    assert_eq!(envelope.status, STATUS_OK, "{:?}", envelope.reason);
+    let items = envelope.batch.expect("batch answers");
+    assert_eq!(items.len(), 3);
+    assert_eq!(items[1].status, STATUS_OK, "{:?}", items[1].reason);
+    assert_eq!(items[1].cached, Some(false));
+    assert!(items[1].result.is_some());
+
+    let without_id = |r: &Response| {
+        let mut r = r.clone();
+        r.id = None;
+        serde_json::to_string(&r).expect("serialize")
+    };
+    let expected = without_id(&standalone);
+    assert_eq!(without_id(&items[0]), expected);
+    assert_eq!(without_id(&items[2]), expected);
+
+    c.send(&Request::op("shutdown"));
+    report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits");
+
+    let text = std::fs::read_to_string(&log_path).expect("access log");
+    let _ = std::fs::remove_file(&log_path);
+    let lines: Vec<serde::Value> = text
+        .lines()
+        .map(|l| serde_json::from_str_value(l).expect("log line JSON"))
+        .collect();
+    let field = |line: &serde::Value, key: &str| match line {
+        serde::Value::Object(pairs) => pairs
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_else(|| panic!("missing {key:?}: {line:?}")),
+        other => panic!("expected object, got {other:?}"),
+    };
+    let text_of = |v: serde::Value| match v {
+        serde::Value::String(s) => s,
+        other => panic!("expected string, got {other:?}"),
+    };
+    assert_eq!(lines.len(), 2, "one line per worker job: {text}");
+    assert_eq!(text_of(field(&lines[0], "op")), "solve");
+    assert_eq!(text_of(field(&lines[0], "status")), STATUS_INFEASIBLE);
+    assert_eq!(field(&lines[0], "nodes").as_u64(), Some(0));
+    assert_eq!(text_of(field(&lines[1], "op")), "batch_solve");
+    assert_eq!(text_of(field(&lines[1], "status")), STATUS_OK);
 }
 
 /// The deadline path, made deterministic: `keep_going` is polled at
