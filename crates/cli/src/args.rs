@@ -105,7 +105,8 @@ pub struct ServeOpts {
     /// Admission queue bound per shard (requests beyond it are
     /// rejected).
     pub queue: usize,
-    /// Solution cache bound per shard (LRU eviction beyond it).
+    /// Answer cache bound per shard, `solve` and `mode_solve` answers
+    /// together (LRU eviction beyond it).
     pub cache: usize,
     /// Engine node budget between deadline polls.
     pub step_nodes: u64,

@@ -13,8 +13,12 @@ use std::sync::Arc;
 use netdag_solver::{Model, PresolveStep, Relaxation, SearchConfig, SearchStats, VarId};
 
 use crate::app::{Application, MsgId, TaskId};
-use crate::config::{InfeasibilityExplanation, ScheduleError, SchedulerConfig};
+use crate::config::{
+    Backend, InfeasibilityExplanation, ScheduleError, ScheduleOutcome, SchedulerConfig,
+};
 use crate::constraints::Deadlines;
+use crate::control::{ControlledOutcome, SolveControl};
+use crate::heuristic::solve_greedy;
 use crate::schedule::{Round, Schedule};
 
 /// Fixed-point scale for `ln λ` values in the soft encoding.
@@ -538,58 +542,60 @@ pub(crate) fn presolve_exact(
     check_presolve(&enc, app)
 }
 
-/// Solves the full scheduling problem exactly. Returns the schedule, the
-/// search statistics, and whether optimality was proven.
+/// Runs a prepared spec through the configured backend — the one solve
+/// path behind every soft and weakly hard entry point. `mode` labels the
+/// `core.solve` trace span (`"soft"` or `"weakly_hard"`); `control`
+/// steers the exact search (see [`solve_exact`]) and is ignored by the
+/// greedy backend, which has no search to steer.
 ///
 /// # Errors
 ///
-/// [`ScheduleError::Infeasible`] when no feasible assignment exists within
-/// the configured `chi_max`, or solver errors on malformed input.
-pub(crate) fn solve_exact(
+/// As [`solve_exact`], plus the greedy backend's placement errors.
+pub(crate) fn solve(
+    mode: &'static str,
     app: &Application,
     cfg: &SchedulerConfig,
     rounds: &[Vec<MsgId>],
     spec: &ReliabilitySpec,
     deadlines: &Deadlines,
-) -> Result<(Schedule, SearchStats, bool), ScheduleError> {
-    let enc = build_model(app, cfg, rounds, spec, deadlines)?;
-    if cfg.lower_bound {
-        // Reject timing-infeasible specs with a named explanation and
-        // zero search nodes, rather than burning the node budget on a
-        // search that can only prove what the closure already knows.
-        check_presolve(&enc, app)?;
-    }
-    // With `portfolio ≥ 2`, race that many diverse configurations over
-    // the runtime fan-out; the race shares the incumbent makespan at
-    // epoch boundaries and is bit-identical at any thread count.
-    let outcome = if cfg.portfolio >= 2 {
-        let mut configs = netdag_solver::portfolio_configs(cfg.portfolio as usize, enc.node_limit);
-        if !cfg.lower_bound {
-            // `--no-lb` A/B runs: strip the family's bounded members.
-            for c in &mut configs {
-                c.lower_bound = false;
-            }
+    control: Option<&mut SolveControl<'_>>,
+) -> Result<ControlledOutcome, ScheduleError> {
+    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
+    let _trace = netdag_trace::span_with(
+        "core.solve",
+        &[
+            ("mode", mode.into()),
+            ("tasks", app.task_count().into()),
+            ("messages", app.message_count().into()),
+        ],
+    );
+    let (outcome, complete) = match cfg.backend {
+        Backend::Exact { .. } => {
+            let (schedule, stats, optimal, complete) =
+                solve_exact(app, cfg, rounds, spec, deadlines, control)?;
+            (
+                ScheduleOutcome {
+                    schedule,
+                    stats: Some(stats),
+                    optimal,
+                },
+                complete,
+            )
         }
-        enc.model.minimize_portfolio(
-            enc.vars.makespan,
-            &configs,
-            netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads),
-        )?
-    } else {
-        enc.model.minimize_with_stats(
-            enc.vars.makespan,
-            &SearchConfig {
-                node_limit: enc.node_limit,
-                lower_bound: cfg.lower_bound,
-                ..SearchConfig::default()
-            },
-        )?
+        Backend::Greedy => {
+            let schedule = solve_greedy(app, cfg, rounds, spec, deadlines)?;
+            (
+                ScheduleOutcome {
+                    schedule,
+                    stats: None,
+                    optimal: false,
+                },
+                true,
+            )
+        }
     };
-    let Some(best) = outcome.best else {
-        return Err(ScheduleError::Infeasible);
-    };
-    let schedule = extract_schedule(cfg, rounds, &enc.vars, &best);
-    Ok((schedule, outcome.stats, outcome.stats.proven_optimal))
+    outcome.schedule.publish_metrics();
+    Ok(ControlledOutcome { outcome, complete })
 }
 
 /// One engine run under external control: inject an optional warm bound,
@@ -635,47 +641,50 @@ fn accumulate(total: &mut SearchStats, add: &SearchStats) {
     total.trail_len_max = total.trail_len_max.max(add.trail_len_max);
 }
 
-/// As [`solve_exact`], but driven by an external controller: an optional
-/// known-feasible `warm_bound` seeds branch-and-bound pruning, and the
-/// search is paused every `step_nodes` nodes to poll `keep_going`
-/// (deadline enforcement). Returns `(schedule, stats, optimal, complete)`
-/// where `complete` is `false` iff `keep_going` stopped the search and
-/// the schedule is merely the best incumbent so far.
+/// Solves the full scheduling problem exactly. Returns
+/// `(schedule, stats, optimal, complete)`, where `complete` is `false`
+/// iff a controller stopped the search and the schedule is merely the
+/// best incumbent so far.
 ///
-/// The warm bound is injected as `cached_makespan + 1`-style
+/// Without a controller the search runs to its natural end in one
+/// `minimize` call (or, with `portfolio ≥ 2`, a race of that many
+/// diverse configurations over the runtime fan-out that shares the
+/// incumbent makespan at epoch boundaries and is bit-identical at any
+/// thread count).
+///
+/// With a controller, an optional known-feasible `warm_bound` seeds
+/// branch-and-bound pruning, and the search is paused every
+/// `step_nodes` nodes to poll `keep_going` (deadline enforcement). The
+/// warm bound is injected as `cached_makespan + 1`-style
 /// *strict-improvement* bounds are exclusive: passing `B + 1` keeps
 /// every solution with makespan `≤ B` reachable, so when the true
-/// optimum is `≤ B` the search returns exactly the same lexicographically
-/// first optimal leaf the cold search would (bit-identical schedules).
-/// When the bound over-prunes (the perturbed problem's optimum is worse
-/// than the cached one), the finished-but-empty warm attempt falls back
-/// to one cold run.
-///
+/// optimum is `≤ B` the search returns exactly the same
+/// lexicographically first optimal leaf the cold search would
+/// (bit-identical schedules). When the bound over-prunes (the perturbed
+/// problem's optimum is worse than the cached one), the
+/// finished-but-empty warm attempt falls back to one cold run.
 /// `portfolio ≥ 2` configurations race multiple engines and exchange
-/// bounds on their own schedule; they delegate to the batch path and
-/// ignore the controller.
+/// bounds on their own schedule, so they ignore the controller.
 ///
 /// # Errors
 ///
-/// As [`solve_exact`], plus [`ScheduleError::Interrupted`] when the
-/// controller stopped the search before any incumbent was found.
-pub(crate) fn solve_exact_controlled(
+/// [`ScheduleError::Infeasible`] when no feasible assignment exists within
+/// the configured `chi_max`, solver errors on malformed input, and
+/// [`ScheduleError::Interrupted`] when the controller stopped the search
+/// before any incumbent was found.
+pub(crate) fn solve_exact(
     app: &Application,
     cfg: &SchedulerConfig,
     rounds: &[Vec<MsgId>],
     spec: &ReliabilitySpec,
     deadlines: &Deadlines,
-    control: &mut crate::control::SolveControl<'_>,
+    control: Option<&mut SolveControl<'_>>,
 ) -> Result<(Schedule, SearchStats, bool, bool), ScheduleError> {
-    let warm_bound = control.warm_bound;
-    let step_nodes = control.step_nodes;
-    let keep_going = &mut *control.keep_going;
-    if cfg.portfolio >= 2 {
-        let (schedule, stats, optimal) = solve_exact(app, cfg, rounds, spec, deadlines)?;
-        return Ok((schedule, stats, optimal, true));
-    }
     let enc = build_model(app, cfg, rounds, spec, deadlines)?;
     if cfg.lower_bound {
+        // Reject timing-infeasible specs with a named explanation and
+        // zero search nodes, rather than burning the node budget on a
+        // search that can only prove what the closure already knows.
         check_presolve(&enc, app)?;
     }
     let search_cfg = SearchConfig {
@@ -683,6 +692,34 @@ pub(crate) fn solve_exact_controlled(
         lower_bound: cfg.lower_bound,
         ..SearchConfig::default()
     };
+    let Some(control) = control.filter(|_| cfg.portfolio < 2) else {
+        let outcome = if cfg.portfolio >= 2 {
+            let mut configs =
+                netdag_solver::portfolio_configs(cfg.portfolio as usize, enc.node_limit);
+            if !cfg.lower_bound {
+                // `--no-lb` A/B runs: strip the family's bounded members.
+                for c in &mut configs {
+                    c.lower_bound = false;
+                }
+            }
+            enc.model.minimize_portfolio(
+                enc.vars.makespan,
+                &configs,
+                netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads),
+            )?
+        } else {
+            enc.model
+                .minimize_with_stats(enc.vars.makespan, &search_cfg)?
+        };
+        let Some(best) = outcome.best else {
+            return Err(ScheduleError::Infeasible);
+        };
+        let schedule = extract_schedule(cfg, rounds, &enc.vars, &best);
+        return Ok((schedule, outcome.stats, outcome.stats.proven_optimal, true));
+    };
+    let warm_bound = control.warm_bound;
+    let step_nodes = control.step_nodes;
+    let keep_going = &mut *control.keep_going;
     let mut total = SearchStats::default();
     let (mut best, stats, mut finished) =
         run_engine(&enc, &search_cfg, warm_bound, step_nodes, keep_going);
@@ -919,8 +956,8 @@ mod tests {
         let rounds = build_rounds(&app, RoundStructure::PerLevel);
         // ln λ table: all zero (perfect floods); threshold 0 ⇒ any χ works.
         let spec = soft_spec(&app, vec![0; cfg.chi_max as usize], 0);
-        let (schedule, _, optimal) =
-            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new()).unwrap();
+        let (schedule, _, optimal, _) =
+            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new(), None).unwrap();
         assert!(optimal);
         schedule.check_feasible(&app).unwrap();
         // Minimal χ wins: smaller rounds, smaller makespan.
@@ -935,8 +972,8 @@ mod tests {
         // log table improving with χ: needs χ ≥ 4 to reach −2000.
         let table: Vec<i64> = (1..=cfg.chi_max as i64).map(|chi| -10_000 / chi).collect();
         let spec = soft_spec(&app, table, -2_500);
-        let (schedule, _, optimal) =
-            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new()).unwrap();
+        let (schedule, _, optimal, _) =
+            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new(), None).unwrap();
         assert!(optimal);
         schedule.check_feasible(&app).unwrap();
         assert_eq!(schedule.chi(MsgId(0)), 4);
@@ -953,7 +990,7 @@ mod tests {
         // before any search (with an explanation); `--no-lb` falls back
         // to the search proof.
         assert!(matches!(
-            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new()).unwrap_err(),
+            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new(), None).unwrap_err(),
             ScheduleError::InfeasibleTiming(_)
         ));
         let no_lb = SchedulerConfig {
@@ -961,7 +998,7 @@ mod tests {
             ..cfg
         };
         assert_eq!(
-            solve_exact(&app, &no_lb, &rounds, &spec, &Deadlines::new()).unwrap_err(),
+            solve_exact(&app, &no_lb, &rounds, &spec, &Deadlines::new(), None).unwrap_err(),
             ScheduleError::Infeasible
         );
     }
@@ -990,8 +1027,8 @@ mod tests {
                 task: TaskId(1),
             }],
         };
-        let (schedule, _, optimal) =
-            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new()).unwrap();
+        let (schedule, _, optimal, _) =
+            solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new(), None).unwrap();
         assert!(optimal);
         schedule.check_feasible(&app).unwrap();
         let chi = schedule.chi(MsgId(0));

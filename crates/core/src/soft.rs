@@ -1,13 +1,10 @@
 //! Soft real-time scheduling (paper § III-B, eq. (6)).
 
-use crate::app::{Application, TaskId};
-use crate::config::{Backend, ScheduleError, ScheduleOutcome, SchedulerConfig};
+use crate::app::{Application, MsgId, TaskId};
+use crate::config::{ScheduleError, ScheduleOutcome, SchedulerConfig};
 use crate::constraints::Deadlines;
 use crate::control::{ControlledOutcome, SolveControl};
-use crate::encode::{
-    presolve_exact, solve_exact, solve_exact_controlled, ReliabilitySpec, LOG_SCALE, LOG_ZERO,
-};
-use crate::heuristic::solve_greedy;
+use crate::encode::{self, ReliabilitySpec, LOG_SCALE, LOG_ZERO};
 use crate::rounds::build_rounds;
 use crate::schedule::Schedule;
 use crate::stat::{validate_soft, SoftStatistic};
@@ -71,7 +68,8 @@ pub fn schedule_soft_with_deadlines<S: SoftStatistic + ?Sized>(
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
 ) -> Result<ScheduleOutcome, ScheduleError> {
-    schedule_soft_inner(app, stat, constraints, deadlines, cfg, None).map(|c| c.outcome)
+    let (rounds, spec) = prepare(app, stat, constraints, deadlines, cfg)?;
+    encode::solve("soft", app, cfg, &rounds, &spec, deadlines, None).map(|c| c.outcome)
 }
 
 /// As [`schedule_soft_with_deadlines`], with the exact solve steered by
@@ -92,7 +90,8 @@ pub fn schedule_soft_controlled<S: SoftStatistic + ?Sized>(
     cfg: &SchedulerConfig,
     control: &mut SolveControl<'_>,
 ) -> Result<ControlledOutcome, ScheduleError> {
-    schedule_soft_inner(app, stat, constraints, deadlines, cfg, Some(control))
+    let (rounds, spec) = prepare(app, stat, constraints, deadlines, cfg)?;
+    encode::solve("soft", app, cfg, &rounds, &spec, deadlines, Some(control))
 }
 
 /// Runs only the CPM timing presolve for a soft spec: validates the
@@ -119,25 +118,20 @@ pub fn presolve_soft<S: SoftStatistic + ?Sized>(
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
 ) -> Result<(), ScheduleError> {
-    cfg.validate()?;
-    validate_soft(stat)?;
-    constraints.validate(app)?;
-    deadlines
-        .validate(app)
-        .map_err(ScheduleError::BadDeadline)?;
-    let rounds = build_rounds(app, cfg.round_structure);
-    let spec = build_spec(app, stat, constraints, cfg, &rounds);
-    presolve_exact(app, cfg, &rounds, &spec, deadlines)
+    let (rounds, spec) = prepare(app, stat, constraints, deadlines, cfg)?;
+    encode::presolve_exact(app, cfg, &rounds, &spec, deadlines)
 }
 
-fn schedule_soft_inner<S: SoftStatistic + ?Sized>(
+/// Validates the inputs and builds the round order and reliability
+/// encoding: everything the soft entry points do before the
+/// shared [`encode::solve`] / [`encode::presolve_exact`] path.
+fn prepare<S: SoftStatistic + ?Sized>(
     app: &Application,
     stat: &S,
     constraints: &crate::constraints::SoftConstraints,
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
-    control: Option<&mut SolveControl<'_>>,
-) -> Result<ControlledOutcome, ScheduleError> {
+) -> Result<(Vec<Vec<MsgId>>, ReliabilitySpec), ScheduleError> {
     cfg.validate()?;
     validate_soft(stat)?;
     constraints.validate(app)?;
@@ -146,48 +140,7 @@ fn schedule_soft_inner<S: SoftStatistic + ?Sized>(
         .map_err(ScheduleError::BadDeadline)?;
     let rounds = build_rounds(app, cfg.round_structure);
     let spec = build_spec(app, stat, constraints, cfg, &rounds);
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
-    let _trace = netdag_trace::span_with(
-        "core.solve",
-        &[
-            ("mode", "soft".into()),
-            ("tasks", app.task_count().into()),
-            ("messages", app.message_count().into()),
-        ],
-    );
-    let (outcome, complete) = match cfg.backend {
-        Backend::Exact { .. } => {
-            let (schedule, stats, optimal, complete) = match control {
-                Some(ctl) => solve_exact_controlled(app, cfg, &rounds, &spec, deadlines, ctl)?,
-                None => {
-                    let (schedule, stats, optimal) =
-                        solve_exact(app, cfg, &rounds, &spec, deadlines)?;
-                    (schedule, stats, optimal, true)
-                }
-            };
-            (
-                ScheduleOutcome {
-                    schedule,
-                    stats: Some(stats),
-                    optimal,
-                },
-                complete,
-            )
-        }
-        Backend::Greedy => {
-            let schedule = solve_greedy(app, cfg, &rounds, &spec, deadlines)?;
-            (
-                ScheduleOutcome {
-                    schedule,
-                    stats: None,
-                    optimal: false,
-                },
-                true,
-            )
-        }
-    };
-    outcome.schedule.publish_metrics();
-    Ok(ControlledOutcome { outcome, complete })
+    Ok((rounds, spec))
 }
 
 pub(crate) fn build_spec<S: SoftStatistic + ?Sized>(

@@ -2,12 +2,11 @@
 
 use netdag_weakly_hard::{oplus_fold, Constraint};
 
-use crate::app::{Application, TaskId};
-use crate::config::{Backend, ScheduleError, ScheduleOutcome, SchedulerConfig};
+use crate::app::{Application, MsgId, TaskId};
+use crate::config::{ScheduleError, ScheduleOutcome, SchedulerConfig};
 use crate::constraints::Deadlines;
 use crate::control::{ControlledOutcome, SolveControl};
-use crate::encode::{presolve_exact, solve_exact, solve_exact_controlled, ReliabilitySpec};
-use crate::heuristic::solve_greedy;
+use crate::encode::{self, ReliabilitySpec};
 use crate::rounds::build_rounds;
 use crate::schedule::Schedule;
 use crate::stat::{validate_weakly_hard, WeaklyHardStatistic};
@@ -74,7 +73,8 @@ pub fn schedule_weakly_hard_with_deadlines<S: WeaklyHardStatistic + ?Sized>(
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
 ) -> Result<ScheduleOutcome, ScheduleError> {
-    schedule_weakly_hard_inner(app, stat, constraints, deadlines, cfg, None).map(|c| c.outcome)
+    let (rounds, spec) = prepare(app, stat, constraints, deadlines, cfg)?;
+    encode::solve("weakly_hard", app, cfg, &rounds, &spec, deadlines, None).map(|c| c.outcome)
 }
 
 /// As [`schedule_weakly_hard_with_deadlines`], with the exact solve
@@ -95,7 +95,16 @@ pub fn schedule_weakly_hard_controlled<S: WeaklyHardStatistic + ?Sized>(
     cfg: &SchedulerConfig,
     control: &mut SolveControl<'_>,
 ) -> Result<ControlledOutcome, ScheduleError> {
-    schedule_weakly_hard_inner(app, stat, constraints, deadlines, cfg, Some(control))
+    let (rounds, spec) = prepare(app, stat, constraints, deadlines, cfg)?;
+    encode::solve(
+        "weakly_hard",
+        app,
+        cfg,
+        &rounds,
+        &spec,
+        deadlines,
+        Some(control),
+    )
 }
 
 /// Runs only the CPM timing presolve for a weakly hard spec — see
@@ -115,25 +124,20 @@ pub fn presolve_weakly_hard<S: WeaklyHardStatistic + ?Sized>(
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
 ) -> Result<(), ScheduleError> {
-    cfg.validate()?;
-    validate_weakly_hard(stat)?;
-    constraints.validate(app)?;
-    deadlines
-        .validate(app)
-        .map_err(ScheduleError::BadDeadline)?;
-    let rounds = build_rounds(app, cfg.round_structure);
-    let spec = build_spec(app, stat, constraints, cfg, &rounds);
-    presolve_exact(app, cfg, &rounds, &spec, deadlines)
+    let (rounds, spec) = prepare(app, stat, constraints, deadlines, cfg)?;
+    encode::presolve_exact(app, cfg, &rounds, &spec, deadlines)
 }
 
-fn schedule_weakly_hard_inner<S: WeaklyHardStatistic + ?Sized>(
+/// Validates the inputs and builds the round order and reliability
+/// encoding: everything the weakly hard entry points do before the
+/// shared [`encode::solve`] / [`encode::presolve_exact`] path.
+fn prepare<S: WeaklyHardStatistic + ?Sized>(
     app: &Application,
     stat: &S,
     constraints: &crate::constraints::WeaklyHardConstraints,
     deadlines: &Deadlines,
     cfg: &SchedulerConfig,
-    control: Option<&mut SolveControl<'_>>,
-) -> Result<ControlledOutcome, ScheduleError> {
+) -> Result<(Vec<Vec<MsgId>>, ReliabilitySpec), ScheduleError> {
     cfg.validate()?;
     validate_weakly_hard(stat)?;
     constraints.validate(app)?;
@@ -142,48 +146,7 @@ fn schedule_weakly_hard_inner<S: WeaklyHardStatistic + ?Sized>(
         .map_err(ScheduleError::BadDeadline)?;
     let rounds = build_rounds(app, cfg.round_structure);
     let spec = build_spec(app, stat, constraints, cfg, &rounds);
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
-    let _trace = netdag_trace::span_with(
-        "core.solve",
-        &[
-            ("mode", "weakly_hard".into()),
-            ("tasks", app.task_count().into()),
-            ("messages", app.message_count().into()),
-        ],
-    );
-    let (outcome, complete) = match cfg.backend {
-        Backend::Exact { .. } => {
-            let (schedule, stats, optimal, complete) = match control {
-                Some(ctl) => solve_exact_controlled(app, cfg, &rounds, &spec, deadlines, ctl)?,
-                None => {
-                    let (schedule, stats, optimal) =
-                        solve_exact(app, cfg, &rounds, &spec, deadlines)?;
-                    (schedule, stats, optimal, true)
-                }
-            };
-            (
-                ScheduleOutcome {
-                    schedule,
-                    stats: Some(stats),
-                    optimal,
-                },
-                complete,
-            )
-        }
-        Backend::Greedy => {
-            let schedule = solve_greedy(app, cfg, &rounds, &spec, deadlines)?;
-            (
-                ScheduleOutcome {
-                    schedule,
-                    stats: None,
-                    optimal: false,
-                },
-                true,
-            )
-        }
-    };
-    outcome.schedule.publish_metrics();
-    Ok(ControlledOutcome { outcome, complete })
+    Ok((rounds, spec))
 }
 
 pub(crate) fn build_spec<S: WeaklyHardStatistic + ?Sized>(

@@ -1,27 +1,35 @@
 //! The standalone CPM presolve and the exact solve agree on timing
-//! infeasibility over the seeded corpus.
+//! infeasibility over the seeded corpus, and the batch and controlled
+//! entry points share one solve path.
 //!
 //! The daemon runs no separate timing screen: it relies on the solve
 //! itself rejecting a timing-infeasible problem with the same witness
 //! [`presolve_soft`] / [`presolve_weakly_hard`] would name, and on the
 //! presolve never rejecting a problem the solve answers. This pins both
 //! halves on the admission and degraded contracts of the first 64
-//! scenarios, under the soak's solver configuration.
+//! scenarios, under the soak's solver configuration. On the same
+//! contracts, the batch `schedule_*_with_deadlines` answer equals the
+//! run-to-completion controlled solve: same schedule, optimality flag
+//! and node count, or the same error.
 
-use netdag_core::config::{Backend, ScheduleError, SchedulerConfig};
+use netdag_core::config::{Backend, ScheduleError, ScheduleOutcome, SchedulerConfig};
 use netdag_core::constraints::Deadlines;
 use netdag_core::control::{ControlledOutcome, SolveControl};
-use netdag_core::soft::{presolve_soft, schedule_soft_controlled};
+use netdag_core::soft::{presolve_soft, schedule_soft_controlled, schedule_soft_with_deadlines};
 use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
-use netdag_core::weakly_hard::{presolve_weakly_hard, schedule_weakly_hard_controlled};
+use netdag_core::weakly_hard::{
+    presolve_weakly_hard, schedule_weakly_hard_controlled, schedule_weakly_hard_with_deadlines,
+};
 use netdag_scenario::{generate, ConstraintSet, ScenarioParams, SoakConfig};
 
 const MASTER_SEED: u64 = 2020;
 const SCENARIOS: u64 = 64;
 
-/// Presolve verdict and full controlled solve of one contract.
+/// Presolve verdict, batch solve and full controlled solve of one
+/// contract.
 type Verdicts = (
     Result<(), ScheduleError>,
+    Result<ScheduleOutcome, ScheduleError>,
     Result<ControlledOutcome, ScheduleError>,
 );
 
@@ -42,6 +50,7 @@ fn verdicts(sc: &netdag_scenario::Scenario, degraded: bool, cfg: &SchedulerConfi
             let stat = Eq15Statistic::new(*fss, cfg.chi_max);
             (
                 presolve_soft(&app, &stat, &f, &none, cfg),
+                schedule_soft_with_deadlines(&app, &stat, &f, &none, cfg),
                 schedule_soft_controlled(&app, &stat, &f, &none, cfg, &mut control),
             )
         }
@@ -52,6 +61,7 @@ fn verdicts(sc: &netdag_scenario::Scenario, degraded: bool, cfg: &SchedulerConfi
             let stat = Eq13Statistic::new(cfg.chi_max);
             (
                 presolve_weakly_hard(&app, &stat, &f, &none, cfg),
+                schedule_weakly_hard_with_deadlines(&app, &stat, &f, &none, cfg),
                 schedule_weakly_hard_controlled(&app, &stat, &f, &none, cfg, &mut control),
             )
         }
@@ -73,7 +83,28 @@ fn presolve_rejects_exactly_what_the_solve_rejects_on_timing() {
         let sc = generate(MASTER_SEED, index, &params);
         for degraded in [false, true] {
             let at = format!("{} (degraded: {degraded})", sc.name());
-            match verdicts(&sc, degraded, &cfg) {
+            let (presolve, batch, controlled) = verdicts(&sc, degraded, &cfg);
+            match (&batch, &controlled) {
+                (Ok(b), Ok(c)) => {
+                    assert!(
+                        c.complete,
+                        "{at}: an uncapped controlled solve stopped early"
+                    );
+                    assert_eq!(b.schedule, c.outcome.schedule, "{at}: schedules differ");
+                    assert_eq!(b.optimal, c.outcome.optimal, "{at}: optimal flags differ");
+                    assert_eq!(
+                        b.stats.map(|s| s.nodes),
+                        c.outcome.stats.map(|s| s.nodes),
+                        "{at}: node counts differ"
+                    );
+                }
+                (b, c) => assert_eq!(
+                    b.as_ref().err(),
+                    c.as_ref().err(),
+                    "{at}: batch and controlled verdicts differ"
+                ),
+            }
+            match (presolve, controlled) {
                 (
                     Err(ScheduleError::InfeasibleTiming(p)),
                     Err(ScheduleError::InfeasibleTiming(s)),

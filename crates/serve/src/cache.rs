@@ -1,37 +1,58 @@
-//! Bounded LRU solution cache.
+//! Bounded LRU answer cache.
 //!
-//! Entries are keyed by the canonical problem [`Fingerprint`]. A lookup
-//! distinguishes three outcomes:
+//! Entries are keyed by the canonical problem [`Fingerprint`] and hold
+//! one [`Answer`]: a `solve` schedule or a `mode_solve` schedule set. A
+//! lookup distinguishes three outcomes:
 //!
 //! * **exact hit** — same canonical fingerprint *and* same declaration
-//!   signature: the stored [`ScheduleExport`] is returned verbatim with
-//!   zero solver work;
-//! * **warm hit** — a stored entry solves a structurally identical
+//!   signature: the stored answer is returned verbatim with zero solver
+//!   work;
+//! * **warm hit** — a stored schedule solves a structurally identical
 //!   problem (same DAG, statistic and configuration; possibly permuted
 //!   declarations or perturbed constraint bounds): its makespan seeds
-//!   branch-and-bound pruning via the trail engine's injected bound;
+//!   branch-and-bound pruning via the trail engine's injected bound.
+//!   Mode answers never take part: a joint solve couples its modes
+//!   through the shared prefix, so a cached makespan is not a sound
+//!   bound for a *different* mode set, and a mode answer is reused only
+//!   on a verbatim repeat of the whole set;
 //! * **miss** — nothing usable; the solve runs cold.
 //!
 //! Only complete solves are inserted (a deadline-truncated incumbent
-//! must never be replayed as an answer). Capacity is enforced by
-//! least-recently-used eviction over a monotonic touch stamp; with the
-//! small bounded capacities the daemon uses, the linear scans here are
-//! cheaper than maintaining an ordered index.
+//! must never be replayed as an answer). Capacity bounds both kinds of
+//! answer together and is enforced by least-recently-used eviction over
+//! a monotonic touch stamp; with the small bounded capacities the daemon
+//! uses, the linear scans here are cheaper than maintaining an ordered
+//! index.
 
 use netdag_core::modes::ModeScheduleExport;
 use netdag_core::spec::ScheduleExport;
 
 use crate::fingerprint::Fingerprint;
 use crate::protocol::CacheStatsBody;
-use crate::snapshot::{ModeSnapshotEntry, SnapshotEntry};
+use crate::snapshot::SnapshotEntry;
+
+/// A cached answer document, served verbatim on an exact hit.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub enum Answer {
+    /// The [`ScheduleExport`] a `solve` request answers with.
+    Schedule(ScheduleExport),
+    /// The [`ModeScheduleExport`] a `mode_solve` request answers with.
+    Modes(ModeScheduleExport),
+}
+
+impl From<ScheduleExport> for Answer {
+    fn from(export: ScheduleExport) -> Answer {
+        Answer::Schedule(export)
+    }
+}
 
 /// Outcome of a cache probe.
 #[derive(Debug, Clone)]
 pub enum Lookup {
     /// Exact hit: serve this document verbatim.
-    Exact(ScheduleExport),
+    Exact(Answer),
     /// Near miss: warm-start the solve; the payload is the best cached
-    /// makespan (µs) among structurally matching entries.
+    /// makespan (µs) among structurally matching schedule entries.
     Warm(u64),
     /// Cold.
     Miss,
@@ -39,7 +60,7 @@ pub enum Lookup {
 
 struct Entry {
     fp: Fingerprint,
-    export: ScheduleExport,
+    answer: Answer,
     makespan_us: u64,
     stamp: u64,
 }
@@ -80,12 +101,12 @@ impl SolutionCache {
         {
             e.stamp = stamp;
             self.hits += 1;
-            return Lookup::Exact(e.export.clone());
+            return Lookup::Exact(e.answer.clone());
         }
         if let Some(best) = self
             .entries
             .iter()
-            .filter(|e| e.fp.structural == fp.structural)
+            .filter(|e| e.fp.structural == fp.structural && matches!(e.answer, Answer::Schedule(_)))
             .map(|e| e.makespan_us)
             .min()
         {
@@ -96,9 +117,12 @@ impl SolutionCache {
         Lookup::Miss
     }
 
-    /// Inserts (or refreshes) a complete solve's result, evicting the
-    /// least recently used entry when over capacity.
-    pub fn insert(&mut self, fp: Fingerprint, export: ScheduleExport, makespan_us: u64) {
+    /// Inserts (or refreshes) a complete solve's answer, evicting the
+    /// least recently used entry when over capacity. `makespan_us` is
+    /// the warm-start bound a schedule answer offers its structural
+    /// neighbours; mode answers offer none and pass 0.
+    pub fn insert(&mut self, fp: Fingerprint, answer: impl Into<Answer>, makespan_us: u64) {
+        let answer = answer.into();
         self.stamp += 1;
         let stamp = self.stamp;
         if let Some(e) = self
@@ -106,14 +130,14 @@ impl SolutionCache {
             .iter_mut()
             .find(|e| e.fp.full == fp.full && e.fp.declared == fp.declared)
         {
-            e.export = export;
+            e.answer = answer;
             e.makespan_us = makespan_us;
             e.stamp = stamp;
             return;
         }
         self.entries.push(Entry {
             fp,
-            export,
+            answer,
             makespan_us,
             stamp,
         });
@@ -143,7 +167,7 @@ impl SolutionCache {
                 structural: e.fp.structural,
                 declared: e.fp.declared,
                 makespan_us: e.makespan_us,
-                export: e.export.clone(),
+                answer: e.answer.clone(),
             })
             .collect()
     }
@@ -166,12 +190,12 @@ impl SolutionCache {
         if !exists && self.entries.len() >= self.capacity {
             return false;
         }
-        self.insert(fp, entry.export, entry.makespan_us);
+        self.insert(fp, entry.answer, entry.makespan_us);
         true
     }
 
-    /// A snapshot for the `cache_stats` operation (queue and mode-cache
-    /// fields are filled in by the server).
+    /// A snapshot for the `cache_stats` operation (queue fields are
+    /// filled in by the server).
     pub fn stats(&self) -> CacheStatsBody {
         CacheStatsBody {
             entries: self.entries.len() as u64,
@@ -182,105 +206,13 @@ impl SolutionCache {
             evictions: self.evictions,
             queued: 0,
             in_flight: 0,
-            mode_entries: 0,
-            restored: 0,
-            shards: Vec::new(),
-        }
-    }
-}
-
-struct ModeEntry {
-    key: u64,
-    export: ModeScheduleExport,
-    stamp: u64,
-}
-
-/// Bounded LRU cache for `mode_solve` answers, keyed by the single
-/// canonical [`mode_fingerprint`](crate::fingerprint::mode_fingerprint)
-/// hash. Exact-only: a joint multi-mode solve has no warm-start tier —
-/// its answer is reused solely on a verbatim repeat of the whole mode
-/// set (cross-mode coupling makes a cached per-mode makespan unsound as
-/// a pruning bound for a *different* mode set).
-pub struct ModeCache {
-    capacity: usize,
-    stamp: u64,
-    entries: Vec<ModeEntry>,
-}
-
-impl ModeCache {
-    /// An empty cache holding at most `capacity` entries (minimum 1).
-    pub fn new(capacity: usize) -> ModeCache {
-        ModeCache {
-            capacity: capacity.max(1),
-            stamp: 0,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Probes the cache for `key`, updating recency.
-    pub fn lookup(&mut self, key: u64) -> Option<ModeScheduleExport> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let e = self.entries.iter_mut().find(|e| e.key == key)?;
-        e.stamp = stamp;
-        Some(e.export.clone())
-    }
-
-    /// Live entries (the `mode_entries` field of `cache_stats`).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no mode solve has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Every live entry in least- to most-recently-used order, for the
-    /// shutdown cache snapshot.
-    pub fn export_entries(&self) -> Vec<ModeSnapshotEntry> {
-        let mut sorted: Vec<&ModeEntry> = self.entries.iter().collect();
-        sorted.sort_by_key(|e| e.stamp);
-        sorted
-            .into_iter()
-            .map(|e| ModeSnapshotEntry {
-                key: e.key,
-                export: e.export.clone(),
-            })
-            .collect()
-    }
-
-    /// Reinserts one snapshot entry at startup; `false` when the cache
-    /// is full and the key is new (restores never evict).
-    pub fn restore(&mut self, entry: ModeSnapshotEntry) -> bool {
-        let exists = self.entries.iter().any(|e| e.key == entry.key);
-        if !exists && self.entries.len() >= self.capacity {
-            return false;
-        }
-        self.insert(entry.key, entry.export);
-        true
-    }
-
-    /// Inserts (or refreshes) a complete joint solve's result, evicting
-    /// the least recently used entry when over capacity.
-    pub fn insert(&mut self, key: u64, export: ModeScheduleExport) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
-            e.export = export;
-            e.stamp = stamp;
-            return;
-        }
-        self.entries.push(ModeEntry { key, export, stamp });
-        if self.entries.len() > self.capacity {
-            let oldest = self
+            mode_entries: self
                 .entries
                 .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            self.entries.swap_remove(oldest);
+                .filter(|e| matches!(e.answer, Answer::Modes(_)))
+                .count() as u64,
+            restored: 0,
+            shards: Vec::new(),
         }
     }
 }
@@ -317,7 +249,9 @@ mod tests {
         let mut c = SolutionCache::new(4);
         assert!(matches!(c.lookup(&fp(1, 10, 100)), Lookup::Miss));
         c.insert(fp(1, 10, 100), export(7), 7);
-        assert!(matches!(c.lookup(&fp(1, 10, 100)), Lookup::Exact(e) if e.makespan_us == 7));
+        assert!(
+            matches!(c.lookup(&fp(1, 10, 100)), Lookup::Exact(Answer::Schedule(e)) if e.makespan_us == 7)
+        );
         // Same canonical problem, permuted declarations: warm only.
         assert!(matches!(c.lookup(&fp(1, 10, 101)), Lookup::Warm(7)));
         // Perturbed constraints (same structural): warm.
@@ -357,7 +291,9 @@ mod tests {
         c.insert(fp(1, 1, 1), export(9), 9);
         c.insert(fp(1, 1, 1), export(8), 8);
         assert_eq!(c.stats().entries, 1);
-        assert!(matches!(c.lookup(&fp(1, 1, 1)), Lookup::Exact(e) if e.makespan_us == 8));
+        assert!(
+            matches!(c.lookup(&fp(1, 1, 1)), Lookup::Exact(Answer::Schedule(e)) if e.makespan_us == 8)
+        );
     }
 
     fn mode_export(prefix: usize) -> ModeScheduleExport {
@@ -369,19 +305,20 @@ mod tests {
     }
 
     #[test]
-    fn mode_cache_is_exact_only_with_lru_eviction() {
-        let mut c = ModeCache::new(2);
-        assert!(c.lookup(1).is_none());
-        c.insert(1, mode_export(1));
-        c.insert(2, mode_export(2));
-        assert_eq!(c.lookup(1).expect("hit").shared_prefix_rounds, 1);
-        // Entry 2 is now the LRU victim.
-        c.insert(3, mode_export(3));
-        assert!(c.lookup(2).is_none());
-        assert!(c.lookup(1).is_some());
-        assert!(c.lookup(3).is_some());
-        // Reinsert refreshes in place.
-        c.insert(1, mode_export(9));
-        assert_eq!(c.lookup(1).expect("hit").shared_prefix_rounds, 9);
+    fn mode_answers_are_exact_only_and_share_the_capacity() {
+        let mut c = SolutionCache::new(2);
+        c.insert(fp(1, 1, 1), export(5), 5);
+        c.insert(fp(2, 2, 2), Answer::Modes(mode_export(1)), 0);
+        assert!(
+            matches!(c.lookup(&fp(2, 2, 2)), Lookup::Exact(Answer::Modes(e)) if e.shared_prefix_rounds == 1)
+        );
+        // A structural match against a mode answer is no warm start.
+        assert!(matches!(c.lookup(&fp(3, 2, 3)), Lookup::Miss));
+        let s = c.stats();
+        assert_eq!((s.entries, s.mode_entries, s.hits, s.misses), (2, 1, 1, 1));
+        // One LRU over both kinds: the schedule entry is the victim.
+        c.insert(fp(4, 4, 4), Answer::Modes(mode_export(4)), 0);
+        assert!(matches!(c.lookup(&fp(1, 1, 1)), Lookup::Miss));
+        assert_eq!(c.stats().mode_entries, 2);
     }
 }

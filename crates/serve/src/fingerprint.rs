@@ -240,8 +240,10 @@ pub fn fingerprint(
 ///
 /// Mode sets cache exact-only: there is no declaration/structural tier
 /// like [`fingerprint`] has, because a joint solve's answer is reused
-/// only on a verbatim repeat of the whole set.
-pub fn mode_fingerprint(spec: &ModesSpec, cfg: &SchedulerConfig) -> u64 {
+/// only on a verbatim repeat of the whole set. All three fields of the
+/// returned [`Fingerprint`] carry this one hash, so it routes, keys the
+/// cache and renders as hex exactly like a solve fingerprint.
+pub fn mode_fingerprint(spec: &ModesSpec, cfg: &SchedulerConfig) -> Fingerprint {
     let mut h = Fnv::new();
     h.str("netdag-fp-modes/1");
     hash_config(&mut h, cfg);
@@ -288,7 +290,11 @@ pub fn mode_fingerprint(spec: &ModesSpec, cfg: &SchedulerConfig) -> u64 {
             None => h.tag(0),
         }
     }
-    h.0
+    Fingerprint {
+        full: h.0,
+        structural: h.0,
+        declared: h.0,
+    }
 }
 
 /// One fixed point of the consistent-hash shard ring

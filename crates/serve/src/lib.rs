@@ -18,8 +18,8 @@
 //!   injecting the cached makespan as a pruning bound through the trail
 //!   engine — sound and bit-identical to the cold solve (see
 //!   [`netdag_core::control::SolveControl`]). Multi-mode `mode_solve`
-//!   requests hash the whole mode set ([`mode_fingerprint`]) into a
-//!   separate exact-only cache and answer with the
+//!   requests hash the whole mode set ([`mode_fingerprint`]) into the
+//!   same cache, exact-only, and answer with the
 //!   [`ModeScheduleExport`](netdag_core::modes::ModeScheduleExport)
 //!   document `netdag schedule --modes --out` writes.
 //! * **Robust serving semantics** ([`server`]) — a bounded admission
@@ -47,7 +47,7 @@ pub mod ring;
 pub mod server;
 pub mod snapshot;
 
-pub use cache::{Lookup, ModeCache, SolutionCache};
+pub use cache::{Answer, Lookup, SolutionCache};
 pub use client::Client;
 pub use fingerprint::{fingerprint, mode_fingerprint, Fingerprint};
 pub use protocol::{BatchItem, CacheStatsBody, Request, Response, ValidationReport};

@@ -20,7 +20,7 @@
 //!   document `--modes --out` writes.
 //! * `validate` — Monte-Carlo validation of an embedded schedule
 //!   against embedded constraints, mirroring `netdag validate`.
-//! * `cache_stats` — a snapshot of the solution cache and queue.
+//! * `cache_stats` — a snapshot of the answer cache and queue.
 //! * `metrics` — the live `netdag-obs/1` snapshot plus rolling-window
 //!   quantiles ([`MetricsBody`]). Read-only: issuing it does not count
 //!   as a request, so a poller never perturbs the counters it reads.
@@ -127,7 +127,8 @@ pub struct Request {
     pub config: Option<ConfigSpec>,
     /// Solve deadline in milliseconds, measured from the moment a
     /// worker picks the request up; expiry returns the best incumbent
-    /// so far with status [`STATUS_INCOMPLETE`].
+    /// so far with status [`STATUS_INCOMPLETE`]. `mode_solve` ignores
+    /// it for now: a joint solve always runs to completion.
     pub deadline_ms: Option<u64>,
     /// The schedule to check (validate only).
     pub schedule: Option<ScheduleExport>,
@@ -184,11 +185,12 @@ pub struct ValidationReport {
 pub struct ShardCacheStats {
     /// Shard index on the ring.
     pub shard: u64,
-    /// Live cache entries in this shard.
+    /// Live cache entries in this shard (`solve` and `mode_solve`
+    /// answers).
     pub entries: u64,
-    /// Exact hits served by this shard.
+    /// Exact hits served by this shard, mode sets included.
     pub hits: u64,
-    /// Cold solves run by this shard.
+    /// Cold solves run by this shard, joint mode solves included.
     pub misses: u64,
     /// Warm starts served by this shard.
     pub warm_starts: u64,
@@ -196,25 +198,30 @@ pub struct ShardCacheStats {
     pub evictions: u64,
     /// Entries restored into this shard from a `--cache-snapshot` file.
     pub restored: u64,
-    /// Live mode-cache entries in this shard.
+    /// How many of this shard's `entries` are `mode_solve` answers.
     pub mode_entries: u64,
 }
 
 /// Cache and queue snapshot of a `cache_stats` request. All fields
 /// except `shards` aggregate over the whole fleet and are identical at
 /// any shard count for the same request sequence (absent evictions);
-/// `capacity` is the *per-shard* LRU bound.
+/// `capacity` is the *per-shard* LRU bound. `solve` and `mode_solve`
+/// answers share one cache, so every count covers both.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CacheStatsBody {
-    /// Live cache entries.
+    /// Live cache entries, `mode_solve` answers included.
     pub entries: u64,
-    /// Configured cache capacity (per shard).
+    /// Configured cache capacity (per shard), shared by both kinds of
+    /// answer.
     pub capacity: u64,
-    /// Exact-fingerprint hits served without solving.
+    /// Exact-fingerprint hits served without solving, mode sets
+    /// included.
     pub hits: u64,
-    /// Cold solves (no usable cached information).
+    /// Cold solves (no usable cached information), joint mode solves
+    /// included.
     pub misses: u64,
-    /// Solves warm-started from a structurally matching entry.
+    /// Solves warm-started from a structurally matching `solve` entry
+    /// (mode sets never warm-start).
     pub warm_starts: u64,
     /// Entries displaced by the LRU bound.
     pub evictions: u64,
@@ -222,7 +229,7 @@ pub struct CacheStatsBody {
     pub queued: u64,
     /// Requests currently being solved by workers.
     pub in_flight: u64,
-    /// Live entries in the exact-only `mode_solve` cache.
+    /// How many of `entries` are `mode_solve` answers.
     pub mode_entries: u64,
     /// Entries restored from a `--cache-snapshot` file at startup.
     pub restored: u64,
@@ -297,9 +304,9 @@ pub struct HealthBody {
     /// Worker threads currently alive (equals `workers` on a healthy
     /// daemon; lower means a worker died).
     pub workers_live: u64,
-    /// Live solution-cache entries.
+    /// Live cache entries, `mode_solve` answers included.
     pub cache_entries: u64,
-    /// Configured solution-cache capacity.
+    /// Configured cache capacity (per shard).
     pub cache_capacity: u64,
 }
 

@@ -23,8 +23,8 @@
 //!   and reassembles the per-item responses in request order. The two
 //!   read-only probes (`metrics`, `health`) are excluded from request
 //!   counting so polling them never perturbs the telemetry they report.
-//! * **Shards** each own an LRU solution cache, a mode cache, and
-//!   [`ServeConfig::workers`] worker threads (a
+//! * **Shards** each own one LRU answer cache (for `solve` and
+//!   `mode_solve` alike) and [`ServeConfig::workers`] worker threads (a
 //!   [`netdag_runtime::run_indexed`] fan-out of `shards × workers`).
 //!   Routing by the *structural* fingerprint hash keeps every
 //!   structural family on one shard, so exact/warm/miss classification
@@ -80,7 +80,7 @@ use netdag_runtime::{run_indexed, ExecPolicy};
 use netdag_validation::soft::validate_soft_par;
 use netdag_validation::weakly_hard::validate_weakly_hard_par;
 
-use crate::cache::{Lookup, ModeCache, SolutionCache};
+use crate::cache::{Answer, Lookup, SolutionCache};
 use crate::fingerprint::{fingerprint, mode_fingerprint, Fingerprint};
 use crate::protocol::{
     CacheStatsBody, HealthBody, MetricsBody, Request, Response, RollingStats, ShardCacheStats,
@@ -96,8 +96,8 @@ const POLL: Duration = Duration::from_millis(25);
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Independent shards (minimum 1). Each shard owns its own
-    /// solution cache, mode cache, admission queue, and worker pool;
+    /// Independent shards (minimum 1). Each shard owns its own answer
+    /// cache, admission queue, and worker pool;
     /// requests are routed by consistent hashing over the structural
     /// fingerprint, so responses are byte-identical at any shard count.
     pub shards: usize,
@@ -106,7 +106,8 @@ pub struct ServeConfig {
     /// Admission queue bound **per shard**: requests beyond this many
     /// waiting are rejected with [`REASON_QUEUE_FULL`].
     pub queue_capacity: usize,
-    /// Solution cache bound **per shard** (LRU eviction beyond it).
+    /// Answer cache bound **per shard**, shared by `solve` and
+    /// `mode_solve` answers (LRU eviction beyond it).
     pub cache_capacity: usize,
     /// Engine node budget between deadline polls of a controlled solve.
     pub step_nodes: u64,
@@ -177,9 +178,9 @@ pub struct ServeReport {
 
 /// What a queued job asks its shard's worker to do.
 enum Work {
-    /// One `solve` / `mode_solve` / `validate` request. For solves the
-    /// connection thread already computed the fingerprint to route the
-    /// request; it rides along so the worker never hashes twice.
+    /// One `solve` / `mode_solve` / `validate` request. The connection
+    /// thread already computed the fingerprint to route the request; it
+    /// rides along so the worker never hashes twice.
     Single {
         req: Box<Request>,
         fp: Option<Fingerprint>,
@@ -331,15 +332,14 @@ impl Gauges {
     }
 }
 
-/// One shard of the fleet: its own admission queue, caches, and
+/// One shard of the fleet: its own admission queue, cache, and
 /// restore counter. Workers are bound to exactly one shard, so a
-/// shard's caches are only ever touched by its own pool (plus the
+/// shard's cache is only ever touched by its own pool (plus the
 /// connection threads reading stats).
 struct ShardState {
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
     cache: Mutex<SolutionCache>,
-    mode_cache: Mutex<ModeCache>,
     /// Entries restored into this shard from the startup snapshot.
     restored: AtomicU64,
 }
@@ -350,7 +350,6 @@ impl ShardState {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             cache: Mutex::new(SolutionCache::new(cache_capacity)),
-            mode_cache: Mutex::new(ModeCache::new(cache_capacity)),
             restored: AtomicU64::new(0),
         }
     }
@@ -531,38 +530,19 @@ fn restore_snapshot(shared: &Shared, snap: CacheSnapshot) {
         shard.restored.fetch_add(restored, Ordering::Relaxed);
         restored_total += restored;
     }
-    for entry in snap.mode_entries {
-        let shard = &shared.shards[shared.ring.route(entry.key)];
-        if shard
-            .mode_cache
-            .lock()
-            .expect("mode cache lock")
-            .restore(entry)
-        {
-            shard.restored.fetch_add(1, Ordering::Relaxed);
-            restored_total += 1;
-        }
-    }
     netdag_obs::global()
         .counter(keys::SERVE_CACHE_RESTORED)
         .add(restored_total);
     shared.gauges.cache_entries.set(entries_total);
 }
 
-/// Merges every shard's caches into one snapshot document, shard by
+/// Merges every shard's cache into one snapshot document, shard by
 /// shard, each shard's entries in least- to most-recent order.
 fn collect_snapshot(shared: &Shared) -> CacheSnapshot {
     let mut snap = CacheSnapshot::new();
     for shard in &shared.shards {
         snap.entries
             .extend(shard.cache.lock().expect("cache lock").export_entries());
-        snap.mode_entries.extend(
-            shard
-                .mode_cache
-                .lock()
-                .expect("mode cache lock")
-                .export_entries(),
-        );
     }
     snap
 }
@@ -588,14 +568,13 @@ fn aggregate_stats(shared: &Shared) -> CacheStatsBody {
     };
     for (i, shard) in shared.shards.iter().enumerate() {
         let s = shard.cache.lock().expect("cache lock").stats();
-        let mode_entries = shard.mode_cache.lock().expect("mode cache lock").len() as u64;
         let restored = shard.restored.load(Ordering::Relaxed);
         body.entries += s.entries;
         body.hits += s.hits;
         body.misses += s.misses;
         body.warm_starts += s.warm_starts;
         body.evictions += s.evictions;
-        body.mode_entries += mode_entries;
+        body.mode_entries += s.mode_entries;
         body.restored += restored;
         body.queued += shard.queue.lock().expect("queue lock").len() as u64;
         body.shards.push(ShardCacheStats {
@@ -606,7 +585,7 @@ fn aggregate_stats(shared: &Shared) -> CacheStatsBody {
             warm_starts: s.warm_starts,
             evictions: s.evictions,
             restored,
-            mode_entries,
+            mode_entries: s.mode_entries,
         });
     }
     body
@@ -705,37 +684,12 @@ fn process_line(shared: &Shared, line: &str) -> Response {
             shared.wake_all();
             Response::status(req.id, STATUS_OK)
         }
-        "solve" => {
+        "solve" | "mode_solve" | "validate" => {
             // The fingerprint is computed here both to route the
             // request onto its owning shard (by *structural* hash, so a
             // whole warm-start family shares one cache regardless of
             // the shard count) and to spare the worker re-hashing it.
-            let fp = solve_fingerprint(&req);
-            let shard = fp.map_or(0, |fp| shared.ring.route(fp.structural));
-            admit(
-                shared,
-                shard,
-                Work::Single {
-                    req: Box::new(req),
-                    fp,
-                },
-            )
-        }
-        "mode_solve" => {
-            let shard = req.modes.as_ref().map_or(0, |m| {
-                shared.ring.route(mode_fingerprint(m, &config_from(&req)))
-            });
-            admit(
-                shared,
-                shard,
-                Work::Single {
-                    req: Box::new(req),
-                    fp: None,
-                },
-            )
-        }
-        "validate" => {
-            let fp = solve_fingerprint(&req);
+            let fp = request_fingerprint(&req);
             let shard = fp.map_or(0, |fp| shared.ring.route(fp.structural));
             admit(
                 shared,
@@ -755,10 +709,17 @@ fn process_line(shared: &Shared, line: &str) -> Response {
 }
 
 /// Fingerprints a solve/validate request when it carries an
-/// application spec. Computed on the connection thread so the same
-/// hash both routes the request onto its owning shard and reaches the
-/// worker as a pre-paid [`Work::Single::fp`].
-fn solve_fingerprint(req: &Request) -> Option<Fingerprint> {
+/// application spec, and a `mode_solve` request when it carries a mode
+/// set. Computed on the connection thread so the same hash both routes
+/// the request onto its owning shard and reaches the worker as a
+/// pre-paid [`Work::Single::fp`].
+fn request_fingerprint(req: &Request) -> Option<Fingerprint> {
+    if req.op == "mode_solve" {
+        return req
+            .modes
+            .as_ref()
+            .map(|m| mode_fingerprint(m, &config_from(req)));
+    }
     req.app.as_ref().map(|app| {
         fingerprint(
             app,
@@ -891,7 +852,7 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
         sub.soft = item.soft.clone();
         sub.weakly_hard = item.weakly_hard.clone();
         sub.stat = item.stat.clone();
-        let Some(fp) = solve_fingerprint(&sub) else {
+        let Some(fp) = request_fingerprint(&sub) else {
             counter!(keys::SERVE_ERRORS).incr();
             answers[i] = Some(Response::error(id, "batch item needs an \"app\" spec"));
             continue;
@@ -1016,7 +977,7 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
             match &job.work {
                 Work::Single { req, fp } => match req.op.as_str() {
                     "solve" => handle_solve(shared, shard, req, *fp),
-                    "mode_solve" => handle_mode_solve(shard, req),
+                    "mode_solve" => handle_mode_solve(shared, shard, req, *fp),
                     _ => (handle_validate(req), 0),
                 },
                 // A sub-batch runs sequentially on its owning shard's
@@ -1124,8 +1085,8 @@ fn write_access_line(
 
 /// Writes `now - snap_base` to [`ServeConfig::metrics_path`] and
 /// advances the baseline, making each file a true delta over its own
-/// interval. The document lands under a temp name and is moved into
-/// place with `rename`, so a concurrent reader never sees a torn file.
+/// interval. The write is atomic, so a concurrent reader never sees a
+/// torn file.
 fn write_interval_snapshot(shared: &Shared) {
     let Some(path) = shared.cfg.metrics_path.as_ref() else {
         return;
@@ -1137,11 +1098,7 @@ fn write_interval_snapshot(shared: &Shared) {
         *base = now;
         delta
     };
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let moved = std::fs::write(&tmp, delta.to_json()).and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = moved {
+    if let Err(e) = snapshot::write_atomic(path, &delta.to_json()) {
         eprintln!(
             "netdag-serve: interval metrics snapshot to {} failed: {e}",
             path.display()
@@ -1231,29 +1188,15 @@ fn handle_solve(
             &cfg,
         )
     });
-    let mut warm_bound = None;
-    match shard.cache.lock().expect("cache lock").lookup(&fp) {
-        Lookup::Exact(export) => {
-            counter!(keys::SERVE_CACHE_HITS).incr();
-            netdag_trace::instant("serve.cache_hit", &[("fingerprint", fp.hex().into())]);
-            let mut resp = Response::status(id, STATUS_OK);
-            resp.result = Some(export);
-            resp.complete = Some(true);
-            resp.cached = Some(true);
-            resp.warm_started = Some(false);
-            resp.fingerprint = Some(fp.hex());
-            return (resp, 0);
-        }
-        Lookup::Warm(makespan_us) => {
-            counter!(keys::SERVE_WARM_STARTS).incr();
-            // `+ 1` because the injected bound is strict-improvement:
-            // it keeps every schedule with makespan ≤ the cached one
-            // reachable, so the warm solve's answer is bit-identical
-            // to the cold one's.
-            warm_bound = Some(makespan_us as i64 + 1);
-        }
-        Lookup::Miss => counter!(keys::SERVE_CACHE_MISSES).incr(),
-    }
+    let warm_bound = match probe(shard, &fp) {
+        Lookup::Exact(answer) => return (answer_response(id, &fp, answer, true, true, false), 0),
+        // `+ 1` because the injected bound is strict-improvement: it
+        // keeps every schedule with makespan ≤ the cached one
+        // reachable, so the warm solve's answer is bit-identical to the
+        // cold one's.
+        Lookup::Warm(makespan_us) => Some(makespan_us as i64 + 1),
+        Lookup::Miss => None,
+    };
 
     let deadline = req.deadline_ms.map(Duration::from_millis);
     let started = Instant::now();
@@ -1329,61 +1272,125 @@ fn handle_solve(
         Ok(controlled) => {
             let nodes = controlled.outcome.stats.as_ref().map_or(0, |s| s.nodes);
             let makespan = controlled.outcome.schedule.makespan(&app);
-            let export = ScheduleExport {
-                schedule: controlled.outcome.schedule.clone(),
-                makespan_us: makespan,
+            let answer = Answer::Schedule(ScheduleExport {
                 bus_us: controlled.outcome.schedule.total_communication_us(),
+                schedule: controlled.outcome.schedule,
+                makespan_us: makespan,
                 optimal: controlled.outcome.optimal,
-            };
+            });
             if controlled.complete {
-                shard
-                    .cache
-                    .lock()
-                    .expect("cache lock")
-                    .insert(fp, export.clone(), makespan);
-                // Fleet-total gauge; the per-shard locks are taken one
-                // at a time (never nested), so this cannot deadlock
-                // with another worker doing the same.
-                let total: u64 = shared
-                    .shards
-                    .iter()
-                    .map(|s| s.cache.lock().expect("cache lock").stats().entries)
-                    .sum();
-                shared.gauges.cache_entries.set(total);
+                cache_answer(shared, shard, fp, answer.clone(), makespan);
             } else {
                 counter!(keys::SERVE_DEADLINE_EXPIRED).incr();
                 shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
             }
-            let mut resp = Response::status(
-                id,
-                if controlled.complete {
-                    STATUS_OK
-                } else {
-                    STATUS_INCOMPLETE
-                },
-            );
-            resp.result = Some(export);
-            resp.complete = Some(controlled.complete);
-            resp.cached = Some(false);
-            resp.warm_started = Some(warm_bound.is_some());
-            resp.fingerprint = Some(fp.hex());
+            let warm_started = warm_bound.is_some();
+            let resp = answer_response(id, &fp, answer, controlled.complete, false, warm_started);
             (resp, nodes)
         }
-        Err(ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_)) => {
+        Err(e) => (
+            failure_response(
+                shared,
+                id,
+                &fp,
+                e,
+                "no χ assignment within chi-max meets the constraints",
+            ),
+            0,
+        ),
+    }
+}
+
+/// Probes `shard`'s cache for `fp` and counts the outcome.
+fn probe(shard: &ShardState, fp: &Fingerprint) -> Lookup {
+    let lookup = shard.cache.lock().expect("cache lock").lookup(fp);
+    match lookup {
+        Lookup::Exact(_) => {
+            counter!(keys::SERVE_CACHE_HITS).incr();
+            netdag_trace::instant("serve.cache_hit", &[("fingerprint", fp.hex().into())]);
+        }
+        Lookup::Warm(_) => counter!(keys::SERVE_WARM_STARTS).incr(),
+        Lookup::Miss => counter!(keys::SERVE_CACHE_MISSES).incr(),
+    }
+    lookup
+}
+
+/// Caches a complete answer in `shard` and refreshes the fleet-total
+/// entries gauge. The per-shard locks are taken one at a time (never
+/// nested), so this cannot deadlock with another worker doing the same.
+fn cache_answer(
+    shared: &Shared,
+    shard: &ShardState,
+    fp: Fingerprint,
+    answer: Answer,
+    makespan_us: u64,
+) {
+    shard
+        .cache
+        .lock()
+        .expect("cache lock")
+        .insert(fp, answer, makespan_us);
+    let total: u64 = shared
+        .shards
+        .iter()
+        .map(|s| s.cache.lock().expect("cache lock").stats().entries)
+        .sum();
+    shared.gauges.cache_entries.set(total);
+}
+
+/// The response carrying `answer` — a `solve` result or a `mode_solve`
+/// result, fresh or cached — with its provenance flags.
+fn answer_response(
+    id: Option<u64>,
+    fp: &Fingerprint,
+    answer: Answer,
+    complete: bool,
+    cached: bool,
+    warm_started: bool,
+) -> Response {
+    let status = if complete {
+        STATUS_OK
+    } else {
+        STATUS_INCOMPLETE
+    };
+    let mut resp = Response::status(id, status);
+    match answer {
+        Answer::Schedule(export) => resp.result = Some(export),
+        Answer::Modes(export) => resp.mode_result = Some(export),
+    }
+    resp.complete = Some(complete);
+    resp.cached = Some(cached);
+    resp.warm_started = Some(warm_started);
+    resp.fingerprint = Some(fp.hex());
+    resp
+}
+
+/// Maps a failed solve to its response; `infeasible` is the reason
+/// given when no `χ` assignment meets the constraints.
+fn failure_response(
+    shared: &Shared,
+    id: Option<u64>,
+    fp: &Fingerprint,
+    err: ScheduleError,
+    infeasible: &str,
+) -> Response {
+    match err {
+        ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_) => {
             let mut resp = Response::status(id, STATUS_INFEASIBLE);
-            resp.reason = Some("no χ assignment within chi-max meets the constraints".to_owned());
+            resp.reason = Some(infeasible.to_owned());
             resp.fingerprint = Some(fp.hex());
-            (resp, 0)
+            resp
         }
         // The CPM presolve inside the solve proved the timing subsystem
-        // over-constrained: a named witness and zero search nodes.
-        Err(ScheduleError::InfeasibleTiming(e)) => {
+        // over-constrained: a named witness (naming the mode, for a
+        // joint solve) and zero search nodes.
+        ScheduleError::InfeasibleTiming(e) => {
             let mut resp = Response::status(id, STATUS_INFEASIBLE);
             resp.reason = Some(format!("timing presolve: {e}"));
             resp.fingerprint = Some(fp.hex());
-            (resp, 0)
+            resp
         }
-        Err(ScheduleError::Interrupted) => {
+        ScheduleError::Interrupted => {
             counter!(keys::SERVE_DEADLINE_EXPIRED).incr();
             shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
             let mut resp = Response::error(
@@ -1392,22 +1399,28 @@ fn handle_solve(
             );
             resp.complete = Some(false);
             resp.fingerprint = Some(fp.hex());
-            (resp, 0)
+            resp
         }
-        Err(e) => {
+        e => {
             counter!(keys::SERVE_ERRORS).incr();
-            (Response::error(id, &format!("scheduling failed: {e}")), 0)
+            Response::error(id, &format!("scheduling failed: {e}"))
         }
     }
 }
 
-/// Solves a `mode_solve` request: probe the exact-only mode cache, then
-/// run the joint multi-mode co-synthesis ([`schedule_modes`]). The
-/// answer is the same [`netdag_core::modes::ModeScheduleExport`]
-/// document `netdag schedule --modes --out` writes. The second tuple
-/// element is the joint solve's search-node count (zero for cache hits
-/// and error paths).
-fn handle_mode_solve(shard: &ShardState, req: &Request) -> (Response, u64) {
+/// Solves a `mode_solve` request: probe the shard cache for a verbatim
+/// repeat, then run the joint multi-mode co-synthesis
+/// ([`schedule_modes`]). The answer is the same
+/// [`netdag_core::modes::ModeScheduleExport`] document `netdag schedule
+/// --modes --out` writes. The second tuple element is the joint solve's
+/// search-node count (zero for cache hits and error paths); `fp_hint`
+/// is the mode fingerprint the connection thread computed for routing.
+fn handle_mode_solve(
+    shared: &Shared,
+    shard: &ShardState,
+    req: &Request,
+    fp_hint: Option<Fingerprint>,
+) -> (Response, u64) {
     let id = req.id;
     let Some(spec) = req.modes.as_ref() else {
         counter!(keys::SERVE_ERRORS).incr();
@@ -1425,61 +1438,30 @@ fn handle_mode_solve(shard: &ShardState, req: &Request) -> (Response, u64) {
         );
     }
     let cfg = config_from(req);
-    let key = mode_fingerprint(spec, &cfg);
-    let hex = format!("{key:016x}");
-    if let Some(export) = shard
-        .mode_cache
-        .lock()
-        .expect("mode cache lock")
-        .lookup(key)
-    {
-        counter!(keys::SERVE_CACHE_HITS).incr();
-        netdag_trace::instant("serve.cache_hit", &[("fingerprint", hex.clone().into())]);
-        let mut resp = Response::status(id, STATUS_OK);
-        resp.mode_result = Some(export);
-        resp.complete = Some(true);
-        resp.cached = Some(true);
-        resp.warm_started = Some(false);
-        resp.fingerprint = Some(hex);
-        return (resp, 0);
+    let fp = fp_hint.unwrap_or_else(|| mode_fingerprint(spec, &cfg));
+    // Mode answers are exact-only: the cache offers them no warm tier.
+    if let Lookup::Exact(answer) = probe(shard, &fp) {
+        return (answer_response(id, &fp, answer, true, true, false), 0);
     }
-    counter!(keys::SERVE_CACHE_MISSES).incr();
     match schedule_modes(spec, &cfg) {
         Ok(outcome) => {
-            let nodes = outcome.stats.nodes;
-            let export = outcome.export();
-            shard
-                .mode_cache
-                .lock()
-                .expect("mode cache lock")
-                .insert(key, export.clone());
-            let mut resp = Response::status(id, STATUS_OK);
-            resp.mode_result = Some(export);
-            resp.complete = Some(true);
-            resp.cached = Some(false);
-            resp.warm_started = Some(false);
-            resp.fingerprint = Some(hex);
-            (resp, nodes)
+            let answer = Answer::Modes(outcome.export());
+            cache_answer(shared, shard, fp, answer.clone(), 0);
+            (
+                answer_response(id, &fp, answer, true, false, false),
+                outcome.stats.nodes,
+            )
         }
-        Err(ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_)) => {
-            let mut resp = Response::status(id, STATUS_INFEASIBLE);
-            resp.reason =
-                Some("no χ assignment within chi-max meets every mode's constraints".to_owned());
-            resp.fingerprint = Some(hex);
-            (resp, 0)
-        }
-        // One mode's CPM presolve proved its timing subsystem
-        // over-constrained; the witness names that mode.
-        Err(ScheduleError::InfeasibleTiming(e)) => {
-            let mut resp = Response::status(id, STATUS_INFEASIBLE);
-            resp.reason = Some(format!("timing presolve: {e}"));
-            resp.fingerprint = Some(hex);
-            (resp, 0)
-        }
-        Err(e) => {
-            counter!(keys::SERVE_ERRORS).incr();
-            (Response::error(id, &format!("scheduling failed: {e}")), 0)
-        }
+        Err(e) => (
+            failure_response(
+                shared,
+                id,
+                &fp,
+                e,
+                "no χ assignment within chi-max meets every mode's constraints",
+            ),
+            0,
+        ),
     }
 }
 

@@ -1,9 +1,9 @@
 //! Versioned on-disk cache snapshots (`--cache-snapshot`).
 //!
-//! A gracefully drained daemon writes every complete cached solve —
-//! fingerprint triple plus the exact [`ScheduleExport`] it answers
+//! A gracefully drained daemon writes every complete cached answer —
+//! fingerprint triple plus the exact [`Answer`] document it is served
 //! with — to a single JSON document, atomically (sibling temp file,
-//! then `rename`, the same idiom as the interval metrics writer). A
+//! then `rename`, shared with the interval metrics writer). A
 //! restarting daemon loads the file before accepting connections and
 //! re-routes each entry through its *own* consistent-hash ring, so a
 //! snapshot written by an N-shard fleet restores correctly into an
@@ -19,16 +19,15 @@
 use std::io::{Error, ErrorKind};
 use std::path::{Path, PathBuf};
 
-use netdag_core::modes::ModeScheduleExport;
-use netdag_core::spec::ScheduleExport;
+use crate::cache::Answer;
 
 /// Schema tag of the snapshot document. Bump on any layout change;
 /// [`load`] rejects every other value.
-pub const SNAPSHOT_SCHEMA: &str = "netdag-cache-snapshot/1";
+pub const SNAPSHOT_SCHEMA: &str = "netdag-cache-snapshot/2";
 
-/// One persisted solution-cache entry: the full fingerprint triple (so
-/// restore can re-rank exact/warm matches and re-route by structural
-/// hash) plus the exact answer document.
+/// One persisted cache entry: the full fingerprint triple (so restore
+/// can re-rank exact/warm matches and re-route by structural hash) plus
+/// the exact answer document.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SnapshotEntry {
     /// Canonical fingerprint hash.
@@ -37,19 +36,10 @@ pub struct SnapshotEntry {
     pub structural: u64,
     /// Declaration-order hash (gates verbatim reuse).
     pub declared: u64,
-    /// Cached makespan, µs (the warm-start bound).
+    /// Cached makespan, µs (the warm-start bound; 0 for mode answers).
     pub makespan_us: u64,
-    /// The exact schedule document served on an exact hit.
-    pub export: ScheduleExport,
-}
-
-/// One persisted mode-cache entry (exact-only, single-hash keyed).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ModeSnapshotEntry {
-    /// The `mode_fingerprint` hash.
-    pub key: u64,
-    /// The exact multi-mode schedule document.
-    pub export: ModeScheduleExport,
+    /// The exact document served on an exact hit.
+    pub answer: Answer,
 }
 
 /// The whole on-disk document.
@@ -57,11 +47,10 @@ pub struct ModeSnapshotEntry {
 pub struct CacheSnapshot {
     /// Always [`SNAPSHOT_SCHEMA`].
     pub schema: String,
-    /// Solution-cache entries, least- to most-recently used across all
-    /// shards, so a restore replays recency in insertion order.
+    /// Cache entries of every shard, each shard's least- to
+    /// most-recently used, so a restore replays recency in insertion
+    /// order.
     pub entries: Vec<SnapshotEntry>,
-    /// Mode-cache entries, same order.
-    pub mode_entries: Vec<ModeSnapshotEntry>,
 }
 
 impl CacheSnapshot {
@@ -70,7 +59,6 @@ impl CacheSnapshot {
         CacheSnapshot {
             schema: SNAPSHOT_SCHEMA.to_owned(),
             entries: Vec::new(),
-            mode_entries: Vec::new(),
         }
     }
 }
@@ -114,6 +102,12 @@ pub fn load(path: &Path) -> std::io::Result<Option<CacheSnapshot>> {
 pub fn store(path: &Path, snap: &CacheSnapshot) -> std::io::Result<()> {
     let text = serde_json::to_string(snap)
         .map_err(|e| Error::new(ErrorKind::InvalidData, format!("encode snapshot: {e}")))?;
+    write_atomic(path, &text)
+}
+
+/// Writes `text` to `path` atomically, the way [`store`] does; the
+/// interval metrics writer shares it.
+pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);

@@ -1,10 +1,14 @@
 //! End-to-end daemon tests over real TCP connections: admission
 //! backpressure, graceful shutdown draining, cache semantics, and
 //! protocol error handling.
+//!
+//! Every daemon here bumps the process-global `serve.*` counters, and
+//! `mode_solve_flow_and_cache` compares a counter delta with its own
+//! daemon's `cache_stats`, so each test holds [`SERIAL`] for its run.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use netdag_core::modes::{ModeSpec, ModesSpec, SoftModeSpec};
@@ -16,6 +20,14 @@ use netdag_serve::protocol::{
     STATUS_ERROR, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK, STATUS_REJECTED,
 };
 use netdag_serve::{serve, ServeConfig, ServeReport};
+
+/// Serializes this file's daemons (see the module docs).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock but leaves nothing to repair.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 struct Client {
     reader: BufReader<TcpStream>,
@@ -151,6 +163,7 @@ fn solve_request(id: u64, app: AppSpec, wh: Option<WeaklyHardSpec>) -> Request {
 
 #[test]
 fn solve_cache_and_warm_start_flow() {
+    let _serial = serial();
     let (addr, report_rx) = start_server(ServeConfig::default());
     let mut c = Client::connect(addr);
 
@@ -228,12 +241,15 @@ fn mode_request(id: u64, spec: ModesSpec) -> Request {
 }
 
 /// `mode_solve` end to end: cold joint solve, verbatim repeat from the
-/// exact-only mode cache, reliability infeasibility, and the per-mode
-/// timing presolve rejection with a mode-labeled witness.
+/// cache (exact-only for mode sets), reliability infeasibility, and the
+/// per-mode timing presolve rejection with a mode-labeled witness.
 #[test]
 fn mode_solve_flow_and_cache() {
+    let _serial = serial();
     let (addr, report_rx) = start_server(ServeConfig::default());
     let mut c = Client::connect(addr);
+    let hits = netdag_obs::global().counter(netdag_obs::keys::SERVE_CACHE_HITS);
+    let hits_before = hits.get();
 
     let spec = ModesSpec {
         app: pipeline_app(),
@@ -254,7 +270,7 @@ fn mode_solve_flow_and_cache() {
     assert_eq!(export1.modes[0].name, "nominal");
     let fp1 = r1.fingerprint.expect("fingerprint");
 
-    // Verbatim repeat: exact mode-cache hit, identical document.
+    // Verbatim repeat: exact cache hit, identical document.
     let r2 = c.send(&mode_request(2, spec.clone()));
     assert_eq!(r2.status, STATUS_OK);
     assert_eq!(r2.cached, Some(true));
@@ -269,11 +285,13 @@ fn mode_solve_flow_and_cache() {
     assert_eq!(r3.cached, Some(false));
     assert_ne!(r3.fingerprint.as_deref(), Some(fp1.as_str()));
 
-    // The mode cache never touches the single-solve cache stats the
-    // `cache_stats` operation reports.
+    // Mode answers share the one cache and its `cache_stats` counts,
+    // which agree with the `serve.cache_hits` counter.
     let stats = c.send(&Request::op("cache_stats"));
     let body = stats.cache.expect("cache body");
-    assert_eq!((body.hits, body.misses, body.entries), (0, 0, 0));
+    assert_eq!((body.hits, body.misses, body.entries), (1, 2, 2));
+    assert_eq!(body.mode_entries, 2);
+    assert_eq!(body.hits, hits.get() - hits_before);
 
     // Missing spec and reliability-infeasible mode sets are structured
     // answers from the worker path.
@@ -310,8 +328,77 @@ fn mode_solve_flow_and_cache() {
     let _ = report_rx.recv_timeout(Duration::from_secs(30));
 }
 
+/// Restoring a snapshot into a smaller cache keeps each shard's most
+/// recent answers, whatever their kind: a drain of three mode sets and
+/// then a solve, restored at capacity 2, keeps the last mode set and the
+/// solve and drops the older mode sets.
+#[test]
+fn restore_keeps_the_most_recent_mixed_entries() {
+    let _serial = serial();
+    let snap_path =
+        std::env::temp_dir().join(format!("netdag_restore_recent_{}.json", std::process::id()));
+    let _ = std::fs::remove_file(&snap_path);
+    let modes: Vec<Request> = (0..3)
+        .map(|i| {
+            mode_request(
+                i + 1,
+                ModesSpec {
+                    app: pipeline_app(),
+                    shared_prefix_rounds: Some(1),
+                    modes: vec![
+                        wh_mode("nominal", 10, 40, None),
+                        wh_mode("degraded", 18 + i as u32, 40, Some(0.9)),
+                    ],
+                },
+            )
+        })
+        .collect();
+    let solve = solve_request(4, pipeline_app(), Some(wh_spec(10, 40)));
+
+    // First life, one shard of capacity 4: least to most recent, the
+    // cache holds the three mode sets, then the solve.
+    let (addr, report_rx) = start_server(ServeConfig {
+        cache_capacity: 4,
+        cache_snapshot: Some(snap_path.clone()),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    for req in modes.iter().chain([&solve]) {
+        let r = c.send(req);
+        assert_eq!(r.status, STATUS_OK, "{:?}", r.reason);
+    }
+    c.send(&Request::op("shutdown"));
+    report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("first daemon exits");
+
+    // Second life at capacity 2: only the two most recent come back.
+    let (addr, report_rx) = start_server(ServeConfig {
+        cache_capacity: 2,
+        cache_snapshot: Some(snap_path.clone()),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    let body = c
+        .send(&Request::op("cache_stats"))
+        .cache
+        .expect("cache body");
+    assert_eq!((body.restored, body.entries, body.mode_entries), (2, 2, 1));
+    assert_eq!(c.send(&modes[2]).cached, Some(true), "newest mode set kept");
+    assert_eq!(c.send(&solve).cached, Some(true), "newest solve kept");
+    assert_eq!(
+        c.send(&modes[0]).cached,
+        Some(false),
+        "oldest mode set dropped"
+    );
+    c.send(&Request::op("shutdown"));
+    let _ = report_rx.recv_timeout(Duration::from_secs(30));
+    let _ = std::fs::remove_file(&snap_path);
+}
+
 #[test]
 fn validate_and_protocol_errors() {
+    let _serial = serial();
     let (addr, report_rx) = start_server(ServeConfig::default());
     let mut c = Client::connect(addr);
 
@@ -361,6 +448,7 @@ fn validate_and_protocol_errors() {
 /// gets the search-proof rejection instead.
 #[test]
 fn timing_infeasible_spec_is_rejected_pre_admission() {
+    let _serial = serial();
     let (addr, report_rx) = start_server(ServeConfig::default());
     let mut c = Client::connect(addr);
 
@@ -407,6 +495,7 @@ fn timing_infeasible_spec_is_rejected_pre_admission() {
 /// line per worker job, the standalone one `infeasible` at zero nodes.
 #[test]
 fn timing_infeasible_answer_is_identical_standalone_and_batched() {
+    let _serial = serial();
     let log_path = std::env::temp_dir().join(format!(
         "netdag_timing_infeasible_{}.ndjson",
         std::process::id()
@@ -516,6 +605,7 @@ fn timing_infeasible_answer_is_identical_standalone_and_batched() {
 /// best incumbent so far, marked incomplete and kept out of the cache.
 #[test]
 fn deadline_returns_best_incumbent_marked_incomplete() {
+    let _serial = serial();
     let (addr, report_rx) = start_server(ServeConfig {
         workers: 1,
         queue_capacity: 16,
@@ -566,6 +656,7 @@ fn deadline_returns_best_incumbent_marked_incomplete() {
 /// is a structured error, not a silent empty schedule.
 #[test]
 fn deadline_with_no_incumbent_is_a_structured_error() {
+    let _serial = serial();
     let (addr, report_rx) = start_server(ServeConfig {
         workers: 1,
         queue_capacity: 16,
@@ -655,6 +746,7 @@ fn solver_nodes_after_session(workers: usize) -> RollingStats {
 /// windows carry no such pin — they are deliberately not compared).
 #[test]
 fn rolling_solver_nodes_identical_across_worker_counts() {
+    let _serial = serial();
     let w1 = solver_nodes_after_session(1);
     let w2 = solver_nodes_after_session(2);
     let w8 = solver_nodes_after_session(8);
@@ -676,6 +768,7 @@ fn rolling_solver_nodes_identical_across_worker_counts() {
 /// on a fast machine.
 #[test]
 fn backpressure_bounds_queue_and_shutdown_drains() {
+    let _serial = serial();
     const N: usize = 2;
     let (addr, report_rx) = start_server(ServeConfig {
         workers: 1,

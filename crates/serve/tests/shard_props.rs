@@ -15,7 +15,8 @@
 //!   issued as a standalone `solve` against a fresh daemon.
 //! * **Snapshots restore across shard counts** — a 4-shard daemon's
 //!   snapshot warm-starts a 2-shard daemon: every previously solved
-//!   problem answers as an exact cache hit with the identical document.
+//!   problem and mode set answers as an exact cache hit with the
+//!   identical document.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -127,6 +128,27 @@ fn solve_request(id: u64, app: AppSpec, wh: WeaklyHardSpec) -> Request {
     req
 }
 
+/// A `mode_solve` of `app` with one weakly hard mode per named spec.
+fn mode_request(id: u64, app: AppSpec, modes: &[(&str, WeaklyHardSpec)]) -> Request {
+    let mut req = Request::op("mode_solve");
+    req.id = Some(id);
+    req.modes = Some(ModesSpec {
+        app,
+        shared_prefix_rounds: Some(1),
+        modes: modes
+            .iter()
+            .map(|(name, wh)| ModeSpec {
+                name: (*name).into(),
+                tasks: None,
+                soft: None,
+                weakly_hard: Some(wh.clone()),
+                loss: None,
+            })
+            .collect(),
+    });
+    req
+}
+
 /// A fixed session over two structural families plus a mode set:
 /// cold, exact repeat, perturbed bound (warm), an independent second
 /// family, a mode solve and its exact repeat.
@@ -135,20 +157,11 @@ fn session_requests(rng: &mut ChaCha8Rng) -> Vec<Request> {
     let (app_b, wh_b) = random_spec(rng);
     let mut wh_a2 = wh_a.clone();
     wh_a2.constraints[0].k += 1;
-    let modes = ModesSpec {
-        app: app_a.clone(),
-        shared_prefix_rounds: Some(1),
-        modes: vec![ModeSpec {
-            name: "only".into(),
-            tasks: None,
-            soft: None,
-            weakly_hard: Some(wh_a.clone()),
-            loss: None,
-        }],
-    };
-    let mut mode_req = Request::op("mode_solve");
-    mode_req.id = Some(5);
-    mode_req.modes = Some(modes);
+    let mode_req = mode_request(
+        5,
+        app_a.clone(),
+        &[("a", wh_a.clone()), ("b", wh_a.clone())],
+    );
     let mut mode_repeat = mode_req.clone();
     mode_repeat.id = Some(6);
     vec![
@@ -208,15 +221,16 @@ proptest! {
             "aggregate stats, 1 vs 8 shards"
         );
         // When the first family is feasible the session pins one exact
-        // hit (request 2) and one warm start (request 3); an infeasible
-        // draw still must agree byte-for-byte above, it just caches
-        // nothing.
+        // hit (request 2) and one warm start (request 3), and a solved
+        // mode set one more exact hit (request 6); an infeasible draw
+        // still must agree byte-for-byte above, it just caches nothing.
         let first: Response = serde_json::from_str(&lines1[0]).expect("response");
+        let mode: Response = serde_json::from_str(&lines1[4]).expect("response");
+        let mode_hits = u64::from(mode.status == STATUS_OK);
         if first.status == STATUS_OK && first.complete == Some(true) {
-            prop_assert_eq!(stats1.hits, 1);
+            prop_assert_eq!(stats1.hits, 1 + mode_hits);
             prop_assert_eq!(stats1.warm_starts, 1);
         }
-        let mode: Response = serde_json::from_str(&lines1[4]).expect("response");
         if mode.status == STATUS_OK {
             prop_assert_eq!(stats1.mode_entries, 1);
         }
@@ -308,8 +322,9 @@ fn batch_solve_matches_request_at_a_time() {
 
 /// A 4-shard daemon's graceful-drain snapshot restores into a 2-shard
 /// daemon: every entry is re-routed through the smaller ring, the
-/// restored count is reported, and each previously solved problem
-/// answers as an exact cache hit with the identical schedule document.
+/// restored count is reported, and each previously solved problem (and
+/// the mode set) answers as an exact cache hit with the identical
+/// document.
 #[test]
 fn snapshot_restores_across_shard_counts() {
     let snap_path =
@@ -333,6 +348,10 @@ fn snapshot_restores_across_shard_counts() {
     for (i, (app, wh)) in problems.iter().enumerate() {
         first.push(c.send(&solve_request(i as u64, app.clone(), wh.clone())));
     }
+    let (mode_app, mode_wh) = problems[0].clone();
+    let mode_req = mode_request(9, mode_app, &[("a", mode_wh.clone()), ("b", mode_wh)]);
+    let mode_first = c.send(&mode_req);
+    assert_eq!(mode_first.status, STATUS_OK, "{:?}", mode_first.reason);
     c.send(&Request::op("shutdown"));
     let report_a = report_rx
         .recv_timeout(Duration::from_secs(60))
@@ -343,10 +362,12 @@ fn snapshot_restores_across_shard_counts() {
     let text = std::fs::read_to_string(&snap_path).expect("snapshot written on drain");
     let snap: netdag_serve::CacheSnapshot = serde_json::from_str(&text).expect("snapshot parses");
     assert_eq!(snap.schema, netdag_serve::SNAPSHOT_SCHEMA);
+    // Every complete solve plus the mode answer.
     let solved = first
         .iter()
         .filter(|r| r.status == STATUS_OK && r.complete == Some(true))
-        .count();
+        .count()
+        + 1;
     assert_eq!(snap.entries.len(), solved);
 
     // Second life: 2 shards, same snapshot. Every solved problem is an
@@ -373,6 +394,19 @@ fn snapshot_restores_across_shard_counts() {
             assert_eq!(again.fingerprint, first[i].fingerprint);
         }
     }
+    let mode_again = c.send(&mode_req);
+    assert_eq!(
+        mode_again.cached,
+        Some(true),
+        "the mode set must hit the cache"
+    );
+    let mut expected = mode_first;
+    expected.cached = Some(true);
+    assert_eq!(
+        serde_json::to_string(&mode_again).expect("serialize"),
+        serde_json::to_string(&expected).expect("serialize"),
+        "mode answer drifted"
+    );
     c.send(&Request::op("shutdown"));
     let report_b = report_rx
         .recv_timeout(Duration::from_secs(60))
@@ -383,22 +417,24 @@ fn snapshot_restores_across_shard_counts() {
 }
 
 /// A present-but-stale snapshot refuses the start instead of silently
-/// serving cold.
+/// serving cold; that includes a `/1` document, whose mode answers
+/// lived in a separate `mode_entries` list.
 #[test]
 fn stale_snapshot_refuses_start() {
     let snap_path =
         std::env::temp_dir().join(format!("netdag_stale_snapshot_{}.json", std::process::id()));
-    std::fs::write(
-        &snap_path,
+    for stale in [
         r#"{"schema":"netdag-cache-snapshot/0","entries":[],"mode_entries":[]}"#,
-    )
-    .expect("write stale snapshot");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let cfg = ServeConfig {
-        cache_snapshot: Some(snap_path.clone()),
-        ..ServeConfig::default()
-    };
-    let err = serve(listener, &cfg).expect_err("stale schema must refuse start");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        r#"{"schema":"netdag-cache-snapshot/1","entries":[],"mode_entries":[{"key":1,"export":{"modes":[],"shared_prefix_rounds":1,"optimal":true}}]}"#,
+    ] {
+        std::fs::write(&snap_path, stale).expect("write stale snapshot");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let cfg = ServeConfig {
+            cache_snapshot: Some(snap_path.clone()),
+            ..ServeConfig::default()
+        };
+        let err = serve(listener, &cfg).expect_err("stale schema must refuse start");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{stale}");
+    }
     let _ = std::fs::remove_file(&snap_path);
 }
