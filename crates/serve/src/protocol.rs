@@ -301,8 +301,8 @@ pub struct HealthBody {
     pub workers: u64,
     /// Configured shards; total solver threads = `shards × workers`.
     pub shards: u64,
-    /// Worker threads currently alive (equals `workers` on a healthy
-    /// daemon; lower means a worker died).
+    /// This daemon's worker threads currently alive (equals `shards ×
+    /// workers` on a healthy daemon; lower means a worker died).
     pub workers_live: u64,
     /// Live cache entries, `mode_solve` answers included.
     pub cache_entries: u64,

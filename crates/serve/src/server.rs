@@ -3,7 +3,7 @@
 //! ```text
 //!            ┌───────────────┐  ring   ┌─ shard 0: queue+caches+pool ─┐
 //!  client ──▶│ connection    │──route──▶  shard 1: queue+caches+pool  │
-//!  (NDJSON)  │ thread (read  │◀─ slot ─│  …                           │
+//!  (NDJSON)  │ thread (read  │◀─reply──│  …                           │
 //!            │ timeout poll) │         └─ shard N-1 ──────────────────┘
 //!            └───────────────┘
 //! ```
@@ -15,14 +15,18 @@
 //!   malformed input) are answered inline; `solve` / `mode_solve` /
 //!   `validate` are fingerprinted and routed onto one of
 //!   [`ServeConfig::shards`] independent shards by the consistent-hash
-//!   [`Ring`], then admitted to that shard's bounded queue — when it is
-//!   full, or after shutdown began, the request is rejected immediately
-//!   with a structured reason rather than queued without bound.
-//!   `batch_solve` fingerprints each item, groups the batch by
-//!   destination shard, enqueues one job per shard (all-or-nothing),
-//!   and reassembles the per-item responses in request order. The two
-//!   read-only probes (`metrics`, `health`) are excluded from request
-//!   counting so polling them never perturbs the telemetry they report.
+//!   [`Ring`]. `batch_solve` fingerprints each item and groups the
+//!   batch by destination shard. Both then go through one admission
+//!   path: every target shard's bounded queue takes one job, or none
+//!   does — when a queue is full, or after shutdown began, the whole
+//!   request is rejected immediately with a structured reason rather
+//!   than queued without bound. Each job answers through its own
+//!   one-shot channel; a batch's per-item responses are reassembled in
+//!   request order. A worker that exits without answering drops that
+//!   channel, and its client gets a structured `error` instead of a
+//!   hang. The two read-only probes (`metrics`, `health`) are excluded
+//!   from request counting so polling them never perturbs the telemetry
+//!   they report.
 //! * **Shards** each own one LRU answer cache (for `solve` and
 //!   `mode_solve` alike) and [`ServeConfig::workers`] worker threads (a
 //!   [`netdag_runtime::run_indexed`] fan-out of `shards × workers`).
@@ -45,7 +49,8 @@
 //!   atomically (sibling temp file + `rename`).
 //! * **Shutdown** (the `shutdown` operation) stops admission, wakes
 //!   every worker, and lets them drain all accepted requests before
-//!   [`serve`] returns; every accepted request is answered.
+//!   [`serve`] returns; every accepted request is answered — by its
+//!   result, or by an `error` if its worker died on it.
 //!
 //! All counters land in the global [`netdag_obs`] recorder under the
 //! `serve.*` keys and every request runs inside a `serve.request`
@@ -64,6 +69,7 @@ use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -215,44 +221,16 @@ impl Work {
     }
 }
 
-/// One queued job plus the slot its response is delivered through.
+/// One queued job plus the channel its response is delivered through.
 struct Job {
     work: Work,
     /// Server-assigned request id, stamped into both the access-log
     /// line and the `serve.request` trace span so the two correlate.
     rid: u64,
     accepted_at: Instant,
-    slot: std::sync::Arc<Slot>,
-}
-
-/// Single-use rendezvous between a worker and a connection thread.
-struct Slot {
-    done: Mutex<Option<Response>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> std::sync::Arc<Slot> {
-        std::sync::Arc::new(Slot {
-            done: Mutex::new(None),
-            ready: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, resp: Response) {
-        *self.done.lock().expect("slot lock") = Some(resp);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> Response {
-        let mut guard = self.done.lock().expect("slot lock");
-        loop {
-            if let Some(resp) = guard.take() {
-                return resp;
-            }
-            guard = self.ready.wait(guard).expect("slot lock");
-        }
-    }
+    /// Dropped unanswered if the worker unwinds out of a handler, which
+    /// releases the waiting connection thread with an error.
+    reply: SyncSender<Response>,
 }
 
 /// The daemon's rolling telemetry windows, one per windowed metric.
@@ -362,6 +340,10 @@ struct Shared {
     shards: Vec<ShardState>,
     shutdown: AtomicBool,
     in_flight: AtomicU64,
+    /// This daemon's live worker threads (the `serve.workers_live`
+    /// gauge is process-global and would count every in-process
+    /// daemon's workers).
+    workers_live: AtomicU64,
     requests: AtomicU64,
     rejected: AtomicU64,
     /// Requests fully handled by a worker (drives window ticks and the
@@ -382,6 +364,38 @@ struct Shared {
 }
 
 impl Shared {
+    /// The state of a fresh daemon, its access log (when configured)
+    /// created and its shard count published.
+    fn new(cfg: &ServeConfig) -> std::io::Result<Shared> {
+        let access = match cfg.access_log.as_ref() {
+            Some(path) => Some(Mutex::new(BufWriter::new(std::fs::File::create(path)?))),
+            None => None,
+        };
+        let nshards = cfg.shards.max(1);
+        let shared = Shared {
+            cfg: cfg.clone(),
+            started: Instant::now(),
+            ring: Ring::new(nshards),
+            shards: (0..nshards)
+                .map(|_| ShardState::new(cfg.cache_capacity))
+                .collect(),
+            shutdown: AtomicBool::new(false),
+            in_flight: AtomicU64::new(0),
+            workers_live: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            deadline_expired: AtomicU64::new(0),
+            next_rid: AtomicU64::new(1),
+            windows: Windows::new(cfg.window_slots),
+            gauges: Gauges::new(),
+            access,
+            snap_base: Mutex::new(netdag_obs::global().snapshot()),
+        };
+        shared.gauges.shards.set(nshards as u64);
+        Ok(shared)
+    }
+
     /// Wakes every shard's worker pool (the shutdown broadcast).
     fn wake_all(&self) {
         for shard in &self.shards {
@@ -414,31 +428,7 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
         keys::ALL_HISTOGRAMS,
         keys::ALL_GAUGES,
     );
-    let access = match cfg.access_log.as_ref() {
-        Some(path) => Some(Mutex::new(BufWriter::new(std::fs::File::create(path)?))),
-        None => None,
-    };
-    let nshards = cfg.shards.max(1);
-    let shared = Shared {
-        cfg: cfg.clone(),
-        started: Instant::now(),
-        ring: Ring::new(nshards),
-        shards: (0..nshards)
-            .map(|_| ShardState::new(cfg.cache_capacity))
-            .collect(),
-        shutdown: AtomicBool::new(false),
-        in_flight: AtomicU64::new(0),
-        requests: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
-        completed: AtomicU64::new(0),
-        deadline_expired: AtomicU64::new(0),
-        next_rid: AtomicU64::new(1),
-        windows: Windows::new(cfg.window_slots),
-        gauges: Gauges::new(),
-        access,
-        snap_base: Mutex::new(netdag_obs::global().snapshot()),
-    };
-    shared.gauges.shards.set(nshards as u64);
+    let shared = Shared::new(cfg)?;
     // Warm restart: load the predecessor's cache before accepting any
     // connection, re-routing every entry through *this* daemon's ring.
     if let Some(path) = cfg.cache_snapshot.as_ref() {
@@ -446,8 +436,8 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
             restore_snapshot(&shared, snap);
         }
     }
-    let workers = cfg.workers.max(1);
-    let pool = nshards * workers;
+    let nshards = shared.shards.len();
+    let pool = nshards * cfg.workers.max(1);
     std::thread::scope(|scope| {
         scope.spawn(|| accept_loop(&listener, &shared, scope));
         // The shard pools run on the calling thread's fan-out — worker
@@ -691,14 +681,16 @@ fn process_line(shared: &Shared, line: &str) -> Response {
             // the shard count) and to spare the worker re-hashing it.
             let fp = request_fingerprint(&req);
             let shard = fp.map_or(0, |fp| shared.ring.route(fp.structural));
-            admit(
-                shared,
-                shard,
-                Work::Single {
-                    req: Box::new(req),
-                    fp,
-                },
-            )
+            let id = req.id;
+            let work = Work::Single {
+                req: Box::new(req),
+                fp,
+            };
+            match submit(shared, id, vec![(shard, work)]) {
+                // One group, one reply.
+                Ok(mut replies) => replies.swap_remove(0),
+                Err(reason) => Response::rejected(id, reason),
+            }
         }
         "batch_solve" => handle_batch(shared, req),
         other => {
@@ -781,52 +773,85 @@ fn handle_health(shared: &Shared, req: &Request) -> Response {
         in_flight: shared.in_flight.load(Ordering::SeqCst),
         shards: shared.shards.len() as u64,
         workers: shared.cfg.workers.max(1) as u64,
-        workers_live: shared.gauges.workers_live.get(),
+        workers_live: shared.workers_live.load(Ordering::SeqCst),
         cache_entries,
         cache_capacity: shared.cfg.cache_capacity.max(1) as u64,
     });
     resp
 }
 
-/// Admits one unit of [`Work`] to shard `shard_idx`'s bounded queue
-/// and blocks until its worker responds. Rejection (shutdown or a full
-/// shard queue) is answered inline with a structured reason.
-fn admit(shared: &Shared, shard_idx: usize, work: Work) -> Response {
-    let id = work.id();
-    let shard = &shared.shards[shard_idx];
-    let slot = {
-        let mut queue = shard.queue.lock().expect("queue lock");
-        if shared.shutdown.load(Ordering::SeqCst) {
-            drop(queue);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!(keys::SERVE_REJECTS).incr();
-            return Response::rejected(id, REASON_SHUTTING_DOWN);
-        }
-        if queue.len() >= shared.cfg.queue_capacity {
-            drop(queue);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!(keys::SERVE_REJECTS).incr();
-            return Response::rejected(id, REASON_QUEUE_FULL);
-        }
-        let slot = Slot::new();
+/// The daemon's one admission path. Admits `groups` — one `(shard,
+/// work)` pair per destination, in ascending shard order — to their
+/// shards' bounded queues all-or-nothing, then blocks for each job's
+/// answer and returns them in group order. A `solve` / `mode_solve` /
+/// `validate` request is one group; a `batch_solve` is one group per
+/// destination shard.
+///
+/// Every target queue is locked in ascending shard order (the only
+/// multi-lock site in the daemon, so lock ordering is trivially
+/// acyclic) while shutdown and every capacity are checked; then the
+/// jobs are pushed everywhere, or the request is counted as rejected
+/// once and the reason returned. A partial batch would otherwise warm
+/// caches with some of its items and not the rest, making responses
+/// depend on admission timing. An empty `groups` admits nothing and is
+/// never rejected.
+fn submit(
+    shared: &Shared,
+    id: Option<u64>,
+    groups: Vec<(usize, Work)>,
+) -> Result<Vec<Response>, &'static str> {
+    let mut queues: Vec<_> = groups
+        .iter()
+        .map(|&(s, _)| shared.shards[s].queue.lock().expect("queue lock"))
+        .collect();
+    let reason = if !queues.is_empty() && shared.shutdown.load(Ordering::SeqCst) {
+        Some(REASON_SHUTTING_DOWN)
+    } else if queues.iter().any(|q| q.len() >= shared.cfg.queue_capacity) {
+        Some(REASON_QUEUE_FULL)
+    } else {
+        None
+    };
+    if let Some(reason) = reason {
+        drop(queues);
+        shared.rejected.fetch_add(1, Ordering::Relaxed);
+        counter!(keys::SERVE_REJECTS).incr();
+        return Err(reason);
+    }
+    let mut pending = Vec::with_capacity(groups.len());
+    for ((shard, work), queue) in groups.into_iter().zip(queues.iter_mut()) {
+        let (reply, answer) = sync_channel(1);
         let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
         queue.push_back(Job {
             work,
             rid,
             accepted_at: Instant::now(),
-            slot: slot.clone(),
+            reply,
         });
         netdag_obs::global().observe(keys::HIST_SERVE_QUEUE_DEPTH, queue.len() as u64);
         shared.gauges.queue_depth.set(queue.len() as u64);
-        slot
-    };
-    shard.ready.notify_one();
-    slot.wait()
+        pending.push((shard, rid, answer));
+    }
+    drop(queues);
+    for &(s, _, _) in &pending {
+        shared.shards[s].ready.notify_one();
+    }
+    Ok(pending
+        .into_iter()
+        .map(|(_, rid, answer)| {
+            answer.recv().unwrap_or_else(|_| {
+                counter!(keys::SERVE_ERRORS).incr();
+                Response::error(
+                    id,
+                    &format!("request rid {rid} lost: its worker exited without answering"),
+                )
+            })
+        })
+        .collect())
 }
 
 /// Answers a `batch_solve` request: every item is fingerprinted, the
-/// items are grouped by owning shard and enqueued all-or-nothing, and
-/// the per-item responses are gathered back into one envelope in
+/// items are grouped by owning shard and admitted through [`submit`],
+/// and the per-item responses are gathered back into one envelope in
 /// request order.
 fn handle_batch(shared: &Shared, req: Request) -> Response {
     let id = req.id;
@@ -838,8 +863,8 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
     counter!(keys::SERVE_BATCH_ITEMS).add(items.len() as u64);
     let mut answers: Vec<Option<Response>> = (0..items.len()).map(|_| None).collect();
     // (shard index → items routed there, each remembering its position
-    // in the batch). BTreeMap so the multi-queue lock below is taken in
-    // ascending shard order — the only multi-lock site in the daemon.
+    // in the batch). BTreeMap so the groups reach `submit` in ascending
+    // shard order.
     let mut groups: BTreeMap<usize, Vec<(usize, Request, Fingerprint)>> = BTreeMap::new();
     for (i, item) in items.iter().enumerate() {
         // Each item solves as if it were a standalone `solve` request
@@ -862,58 +887,22 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
             .or_default()
             .push((i, sub, fp));
     }
-    // All-or-nothing admission: hold every destination queue lock (in
-    // ascending shard order — the only multi-lock site in the daemon,
-    // so lock ordering is trivially acyclic), check shutdown and all
-    // capacities, then enqueue everywhere or reject the whole batch. A
-    // partial batch would otherwise warm caches with some of its items
-    // and not the rest, making responses depend on admission timing.
-    let mut pending: Vec<(Vec<usize>, std::sync::Arc<Slot>)> = Vec::new();
-    if !groups.is_empty() {
-        let targets: Vec<usize> = groups.keys().copied().collect();
-        let mut guards: Vec<_> = targets
-            .iter()
-            .map(|&s| shared.shards[s].queue.lock().expect("queue lock"))
-            .collect();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            drop(guards);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!(keys::SERVE_REJECTS).incr();
-            return Response::rejected(id, REASON_SHUTTING_DOWN);
-        }
-        if guards.iter().any(|q| q.len() >= shared.cfg.queue_capacity) {
-            drop(guards);
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            counter!(keys::SERVE_REJECTS).incr();
-            return Response::rejected(id, REASON_QUEUE_FULL);
-        }
-        for ((_, group), queue) in groups.into_iter().zip(guards.iter_mut()) {
-            let slot = Slot::new();
-            let rid = shared.next_rid.fetch_add(1, Ordering::Relaxed);
-            let indices: Vec<usize> = group.iter().map(|(i, _, _)| *i).collect();
-            queue.push_back(Job {
-                work: Work::Batch {
-                    head_id: id,
-                    items: group.into_iter().map(|(_, sub, fp)| (sub, fp)).collect(),
-                },
-                rid,
-                accepted_at: Instant::now(),
-                slot: slot.clone(),
-            });
-            netdag_obs::global().observe(keys::HIST_SERVE_QUEUE_DEPTH, queue.len() as u64);
-            shared.gauges.queue_depth.set(queue.len() as u64);
-            pending.push((indices, slot));
-        }
-        drop(guards);
-        for &s in &targets {
-            shared.shards[s].ready.notify_one();
-        }
-    }
+    let (positions, work): (Vec<Vec<usize>>, Vec<(usize, Work)>) = groups
+        .into_iter()
+        .map(|(shard, group)| {
+            let indices = group.iter().map(|(i, _, _)| *i).collect();
+            let items = group.into_iter().map(|(_, sub, fp)| (sub, fp)).collect();
+            (indices, (shard, Work::Batch { head_id: id, items }))
+        })
+        .unzip();
+    let replies = match submit(shared, id, work) {
+        Ok(replies) => replies,
+        Err(reason) => return Response::rejected(id, reason),
+    };
     // Gather: each shard's worker answers its sub-batch with an
     // envelope whose `batch` field holds the group's responses in
     // group order; scatter them back to the items' batch positions.
-    for (indices, slot) in pending {
-        let group_resp = slot.wait();
+    for (indices, group_resp) in positions.into_iter().zip(replies) {
         let mut subs = group_resp.batch.unwrap_or_default().into_iter();
         for i in indices {
             answers[i] = subs.next();
@@ -929,19 +918,22 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
     resp
 }
 
-/// Keeps the `serve.workers_live` gauge honest on every exit path,
-/// including a panic unwinding out of a handler.
-struct LiveWorker<'a>(&'a Gauge);
+/// Keeps the daemon's live-worker count and the `serve.workers_live`
+/// gauge honest on every exit path, including a panic unwinding out of
+/// a handler.
+struct LiveWorker<'a>(&'a Shared);
 
 impl Drop for LiveWorker<'_> {
     fn drop(&mut self) {
-        self.0.sub(1);
+        self.0.workers_live.fetch_sub(1, Ordering::SeqCst);
+        self.0.gauges.workers_live.sub(1);
     }
 }
 
 fn worker_loop(shared: &Shared, shard: &ShardState) {
+    shared.workers_live.fetch_add(1, Ordering::SeqCst);
     shared.gauges.workers_live.add(1);
-    let _live = LiveWorker(&shared.gauges.workers_live);
+    let _live = LiveWorker(shared);
     loop {
         let job = {
             let mut queue = shard.queue.lock().expect("queue lock");
@@ -1025,7 +1017,9 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
         if shared.cfg.metrics_interval > 0 && done.is_multiple_of(shared.cfg.metrics_interval) {
             write_interval_snapshot(shared);
         }
-        job.slot.fill(resp);
+        // The waiting connection thread holds the receiver until this
+        // one reply arrives, so the send can neither block nor fail.
+        let _ = job.reply.send(resp);
     }
 }
 
@@ -1572,4 +1566,55 @@ fn handle_validate(req: &Request) -> Response {
     let mut resp = Response::status(id, STATUS_OK);
     resp.validation = Some(ValidationReport { passed, report });
     resp
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::STATUS_ERROR;
+
+    /// A worker that unwinds out of a handler drops its job unanswered;
+    /// the connection thread waiting in [`submit`] must then get a
+    /// structured `error` naming the request instead of blocking
+    /// forever.
+    #[test]
+    fn a_job_dropped_unanswered_yields_an_error_not_a_hang() {
+        // Leaked so a waiter that never returns cannot outlive its state.
+        let shared: &'static Shared = Box::leak(Box::new(
+            Shared::new(&ServeConfig::default()).expect("state"),
+        ));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let work = Work::Single {
+                req: Box::new(Request::op("solve")),
+                fp: None,
+            };
+            let _ = tx.send(submit(shared, Some(7), vec![(0, work)]));
+        });
+        // Stand in for the shard's worker: dequeue the job the way
+        // `worker_loop` does, then unwind while holding it.
+        let shard = &shared.shards[0];
+        let mut queue = shard.queue.lock().expect("queue lock");
+        let job = loop {
+            if let Some(job) = queue.pop_front() {
+                break job;
+            }
+            queue = shard.ready.wait(queue).expect("queue lock");
+        };
+        drop(queue);
+        let worker = std::thread::spawn(move || {
+            let _held = job;
+            panic!("injected handler fault");
+        });
+        assert!(worker.join().is_err());
+        let mut replies = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the waiting side is released")
+            .expect("the job was admitted");
+        let resp = replies.swap_remove(0);
+        assert_eq!(resp.status, STATUS_ERROR);
+        assert_eq!(resp.id, Some(7));
+        let reason = resp.reason.unwrap_or_default();
+        assert!(reason.contains("rid 1"), "{reason}");
+    }
 }

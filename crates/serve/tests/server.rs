@@ -17,7 +17,8 @@ use netdag_core::spec::{
 };
 use netdag_serve::protocol::{
     BatchItem, ConfigSpec, Request, Response, RollingStats, StatSpec, REASON_QUEUE_FULL,
-    STATUS_ERROR, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK, STATUS_REJECTED,
+    REASON_SHUTTING_DOWN, STATUS_ERROR, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
+    STATUS_REJECTED,
 };
 use netdag_serve::{serve, ServeConfig, ServeReport};
 
@@ -46,11 +47,16 @@ impl Client {
         }
     }
 
-    fn send_line(&mut self, line: &str) -> Response {
+    /// Writes one request line without waiting for its response.
+    fn write_line(&mut self, line: &str) {
         self.writer
             .write_all(format!("{line}\n").as_bytes())
             .expect("write");
         self.writer.flush().expect("flush");
+    }
+
+    fn send_line(&mut self, line: &str) -> Response {
+        self.write_line(line);
         self.read_response()
     }
 
@@ -571,30 +577,42 @@ fn timing_infeasible_answer_is_identical_standalone_and_batched() {
         .recv_timeout(Duration::from_secs(30))
         .expect("server exits");
 
-    let text = std::fs::read_to_string(&log_path).expect("access log");
-    let _ = std::fs::remove_file(&log_path);
-    let lines: Vec<serde::Value> = text
-        .lines()
+    let lines = take_access_log(&log_path);
+    assert_eq!(lines.len(), 2, "one line per worker job: {lines:?}");
+    assert_eq!(text_of(log_field(&lines[0], "op")), "solve");
+    assert_eq!(text_of(log_field(&lines[0], "status")), STATUS_INFEASIBLE);
+    assert_eq!(log_field(&lines[0], "nodes").as_u64(), Some(0));
+    assert_eq!(text_of(log_field(&lines[1], "op")), "batch_solve");
+    assert_eq!(text_of(log_field(&lines[1], "status")), STATUS_OK);
+}
+
+/// Reads and deletes an access log, one JSON value per line.
+fn take_access_log(path: &std::path::Path) -> Vec<serde::Value> {
+    let text = std::fs::read_to_string(path).expect("access log");
+    let _ = std::fs::remove_file(path);
+    text.lines()
         .map(|l| serde_json::from_str_value(l).expect("log line JSON"))
-        .collect();
-    let field = |line: &serde::Value, key: &str| match line {
+        .collect()
+}
+
+/// The `key` field of an access-log line.
+fn log_field(line: &serde::Value, key: &str) -> serde::Value {
+    match line {
         serde::Value::Object(pairs) => pairs
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.clone())
             .unwrap_or_else(|| panic!("missing {key:?}: {line:?}")),
         other => panic!("expected object, got {other:?}"),
-    };
-    let text_of = |v: serde::Value| match v {
+    }
+}
+
+/// A string field value.
+fn text_of(v: serde::Value) -> String {
+    match v {
         serde::Value::String(s) => s,
         other => panic!("expected string, got {other:?}"),
-    };
-    assert_eq!(lines.len(), 2, "one line per worker job: {text}");
-    assert_eq!(text_of(field(&lines[0], "op")), "solve");
-    assert_eq!(text_of(field(&lines[0], "status")), STATUS_INFEASIBLE);
-    assert_eq!(field(&lines[0], "nodes").as_u64(), Some(0));
-    assert_eq!(text_of(field(&lines[1], "op")), "batch_solve");
-    assert_eq!(text_of(field(&lines[1], "status")), STATUS_OK);
+    }
 }
 
 /// The deadline path, made deterministic: `keep_going` is polled at
@@ -756,34 +774,22 @@ fn rolling_solver_nodes_identical_across_worker_counts() {
     assert_eq!(w1, w8);
 }
 
-/// The robustness acceptance test: with queue bound N and the single
-/// worker pinned, a burst of 4N solves is answered with exactly N
-/// accepted and 3N structured rejections, and a shutdown issued while
-/// work is still queued drains every accepted request before the server
-/// exits.
+/// Pins a one-worker daemon's worker: solves once (request id 99), then
+/// occupies the worker with a Monte-Carlo validation of that schedule
+/// (id 100) and waits until the worker has dequeued it. Returns the
+/// holder, whose pending response is the validation's, and a control
+/// connection.
 ///
-/// The worker is pinned with a Monte-Carlo validation: its cost is
-/// linear in `kappa * trials` (no pruning, no early exit on a passing
-/// run), so unlike a branch-and-bound solve it cannot terminate early
-/// on a fast machine.
-#[test]
-fn backpressure_bounds_queue_and_shutdown_drains() {
-    let _serial = serial();
-    const N: usize = 2;
-    let (addr, report_rx) = start_server(ServeConfig {
-        workers: 1,
-        queue_capacity: N,
-        cache_capacity: 16,
-        step_nodes: 512,
-        ..ServeConfig::default()
-    });
-
+/// The validation's cost is linear in `kappa * trials` (no pruning, no
+/// early exit on a passing run), so unlike a branch-and-bound solve it
+/// cannot terminate early on a fast machine.
+fn pin_worker(addr: std::net::SocketAddr) -> (Client, Client) {
     // Solve once so there is a schedule to validate.
     let mut holder = Client::connect(addr);
     let solved = holder.send(&solve_request(99, pipeline_app(), Some(wh_spec(10, 40))));
     assert_eq!(solved.status, STATUS_OK, "{:?}", solved.reason);
 
-    // Occupy the worker; the response is read after the burst.
+    // Occupy the worker; the caller reads the response.
     let mut hold = Request::op("validate");
     hold.id = Some(100);
     hold.app = Some(pipeline_app());
@@ -791,12 +797,7 @@ fn backpressure_bounds_queue_and_shutdown_drains() {
     hold.schedule = solved.result.clone();
     hold.kappa = Some(2_000);
     hold.trials = Some(100);
-    let hold_line = serde_json::to_string(&hold).expect("serialize");
-    holder
-        .writer
-        .write_all(format!("{hold_line}\n").as_bytes())
-        .expect("write");
-    holder.writer.flush().expect("flush");
+    holder.write_line(&serde_json::to_string(&hold).expect("serialize"));
 
     // Wait until the worker has dequeued the hold request.
     let mut ctl = Client::connect(addr);
@@ -811,6 +812,26 @@ fn backpressure_bounds_queue_and_shutdown_drains() {
         assert!(polls < 3_000, "worker never picked up the hold: {body:?}");
         std::thread::sleep(Duration::from_millis(10));
     }
+    (holder, ctl)
+}
+
+/// The robustness acceptance test: with queue bound N and the single
+/// worker pinned, a burst of 4N solves is answered with exactly N
+/// accepted and 3N structured rejections, and a shutdown issued while
+/// work is still queued drains every accepted request before the server
+/// exits.
+#[test]
+fn backpressure_bounds_queue_and_shutdown_drains() {
+    let _serial = serial();
+    const N: usize = 2;
+    let (addr, report_rx) = start_server(ServeConfig {
+        workers: 1,
+        queue_capacity: N,
+        cache_capacity: 16,
+        step_nodes: 512,
+        ..ServeConfig::default()
+    });
+    let (mut holder, mut ctl) = pin_worker(addr);
 
     // Burst 4N solves from parallel connections. The worker is pinned,
     // so exactly N fit the queue and 3N are rejected. Shutdown is
@@ -891,4 +912,158 @@ fn backpressure_bounds_queue_and_shutdown_drains() {
     assert_eq!(report.rejected as usize, 3 * N);
     // solve + hold + burst + shutdown + at least one cache_stats poll.
     assert!(report.requests as usize >= 4 * N + 4);
+}
+
+/// A `batch_solve` of two distinct weakly hard pipeline problems.
+fn batch_request(id: u64, k: [u32; 2]) -> Request {
+    let mut req = Request::op("batch_solve");
+    req.id = Some(id);
+    req.batch = Some(
+        k.iter()
+            .map(|&k| BatchItem {
+                app: Some(pipeline_app()),
+                soft: None,
+                weakly_hard: Some(wh_spec(10, k)),
+                stat: None,
+            })
+            .collect(),
+    );
+    req
+}
+
+/// Both rejection reasons on both admission shapes. With the worker
+/// pinned and the one queue slot taken, a `batch_solve` is rejected
+/// whole: one `queue_full` envelope, counted once, and none of its
+/// items reaches a worker or the access log. After `shutdown`, a
+/// still-open connection gets `shutting_down` for a `solve` and a
+/// `batch_solve` alike.
+#[test]
+fn rejections_cover_both_reasons_on_both_admission_shapes() {
+    let _serial = serial();
+    let log_path =
+        std::env::temp_dir().join(format!("netdag_rejections_{}.ndjson", std::process::id()));
+    let _ = std::fs::remove_file(&log_path);
+    let (addr, report_rx) = start_server(ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        access_log: Some(log_path.clone()),
+        ..ServeConfig::default()
+    });
+    let (mut holder, mut ctl) = pin_worker(addr);
+
+    // Take the one queue slot; its answer is read after the drain.
+    let mut queued = Client::connect(addr);
+    let queued_req = solve_request(1, pipeline_app(), Some(wh_spec(10, 41)));
+    queued.write_line(&serde_json::to_string(&queued_req).expect("serialize"));
+    let mut polls = 0;
+    loop {
+        let body = ctl
+            .send(&Request::op("cache_stats"))
+            .cache
+            .expect("cache body");
+        if body.queued == 1 {
+            break;
+        }
+        polls += 1;
+        assert!(polls < 3_000, "the queue never filled: {body:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let full = ctl.send(&batch_request(500, [42, 43]));
+    assert_eq!(full.status, STATUS_REJECTED, "{full:?}");
+    assert_eq!(full.reason.as_deref(), Some(REASON_QUEUE_FULL));
+    assert_eq!(full.id, Some(500));
+    assert!(
+        full.batch.is_none(),
+        "one envelope, no item answers: {full:?}"
+    );
+
+    // Pipelined on one connection, so it is still open when the two
+    // requests after `shutdown` are read.
+    let lines: Vec<String> = [
+        Request::op("shutdown"),
+        solve_request(2, pipeline_app(), Some(wh_spec(10, 44))),
+        batch_request(501, [45, 46]),
+    ]
+    .iter()
+    .map(|r| serde_json::to_string(r).expect("serialize"))
+    .collect();
+    ctl.write_line(&lines.join("\n"));
+    assert_eq!(ctl.read_response().status, STATUS_OK);
+    for id in [2, 501] {
+        let late = ctl.read_response();
+        assert_eq!(late.status, STATUS_REJECTED, "{late:?}");
+        assert_eq!(late.reason.as_deref(), Some(REASON_SHUTTING_DOWN));
+        assert_eq!(late.id, Some(id));
+    }
+
+    // Accepted work is drained.
+    let drained = queued.read_response();
+    assert_eq!(drained.status, STATUS_OK, "{:?}", drained.reason);
+    let hold = holder.read_response();
+    assert_eq!(hold.status, STATUS_OK, "{:?}", hold.reason);
+    let report = report_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("server drains accepted work and exits");
+    // The full-queue batch and the two late requests, each counted once.
+    assert_eq!(report.rejected, 3);
+
+    // One line per worker job: the set-up solve, the hold and the
+    // queued solve. No rejected request reached a worker.
+    let logged: Vec<(u64, String)> = take_access_log(&log_path)
+        .iter()
+        .map(|line| {
+            let id = log_field(line, "id").as_u64().expect("id");
+            (id, text_of(log_field(line, "op")))
+        })
+        .collect();
+    assert_eq!(
+        logged,
+        [(99, "solve"), (100, "validate"), (1, "solve")].map(|(id, op)| (id, op.to_owned()))
+    );
+}
+
+/// `health.workers_live` counts the answering daemon's own workers:
+/// two daemons in one process each settle at their own `shards ×
+/// workers`, although the `serve.workers_live` gauge they both feed is
+/// process-global.
+#[test]
+fn health_counts_each_daemons_own_workers() {
+    let _serial = serial();
+    let (a, a_report) = start_server(ServeConfig {
+        shards: 2,
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let (b, b_report) = start_server(ServeConfig {
+        shards: 1,
+        workers: 3,
+        ..ServeConfig::default()
+    });
+    let (mut ca, mut cb) = (Client::connect(a), Client::connect(b));
+    let live = |c: &mut Client| c.send(&Request::op("health")).health.expect("health body");
+    let mut polls = 0;
+    loop {
+        // `b` is read first: while the workers start, a shared count
+        // only grows, so it cannot read 3 at `b` and then 2 at `a`.
+        let (hb, ha) = (live(&mut cb), live(&mut ca));
+        if (ha.workers_live, hb.workers_live) == (2, 3) {
+            assert_eq!((ha.shards * ha.workers, hb.shards * hb.workers), (2, 3));
+            break;
+        }
+        polls += 1;
+        assert!(
+            polls < 3_000,
+            "workers_live never settled at (2, 3): ({}, {})",
+            ha.workers_live,
+            hb.workers_live
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    for (mut c, report) in [(ca, a_report), (cb, b_report)] {
+        assert_eq!(c.send(&Request::op("shutdown")).status, STATUS_OK);
+        report
+            .recv_timeout(Duration::from_secs(30))
+            .expect("server exits");
+    }
 }
