@@ -11,9 +11,10 @@ use netdag_core::prelude::*;
 use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_glossy::link::Bernoulli;
 use netdag_glossy::{NodeId, Topology};
+use netdag_runtime::ExecPolicy;
 use netdag_validation::full_stack::validate_on_bus;
-use netdag_validation::soft::validate_soft;
-use netdag_validation::weakly_hard::validate_weakly_hard;
+use netdag_validation::soft::validate_soft_par;
+use netdag_validation::weakly_hard::validate_weakly_hard_par;
 use netdag_weakly_hard::Constraint;
 
 fn pipeline() -> (Application, TaskId) {
@@ -44,25 +45,33 @@ fn bench_validation(c: &mut Criterion) {
     let mut group = c.benchmark_group("validation");
     group.sample_size(10);
     group.bench_function("soft_eq11_kappa10000", |b| {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
         b.iter(|| {
-            let r = validate_soft(
+            let r = validate_soft_par(
                 &app,
                 &soft_stat,
                 &fs,
                 &soft.schedule,
                 10_000,
                 0.999,
-                &mut rng,
+                1,
+                ExecPolicy::Auto,
             );
             assert!(r.iter().all(|x| x.passed));
         })
     });
     group.bench_function("weakly_hard_eq12_40trials", |b| {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
         b.iter(|| {
-            let r = validate_weakly_hard(&app, &wh_stat, &fwh, &wh.schedule, 400, 40, &mut rng)
-                .expect("synthesis");
+            let r = validate_weakly_hard_par(
+                &app,
+                &wh_stat,
+                &fwh,
+                &wh.schedule,
+                400,
+                40,
+                2,
+                ExecPolicy::Auto,
+            )
+            .expect("synthesis");
             assert!(r.iter().all(|x| x.passed));
         })
     });

@@ -9,13 +9,14 @@ use netdag_bench::{
 };
 use netdag_control::eval::fig3_sweep;
 use netdag_control::train::{train_cem, CemConfig};
-use netdag_core::explore::weakly_hard_latency_sweep;
+use netdag_core::explore::weakly_hard_latency_sweep_par;
 use netdag_core::prelude::*;
 use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
-use netdag_dse::explore::{constrain_sinks, explore_tx_power, min_feasible_power};
+use netdag_dse::explore::{constrain_sinks, explore_tx_power_par, min_feasible_power};
 use netdag_glossy::NodeId;
-use netdag_validation::soft::validate_soft;
-use netdag_validation::weakly_hard::validate_weakly_hard;
+use netdag_runtime::ExecPolicy;
+use netdag_validation::soft::validate_soft_par;
+use netdag_validation::weakly_hard::validate_weakly_hard_par;
 use netdag_weakly_hard::Constraint;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -120,7 +121,14 @@ fn fig2() -> Result<(), Box<dyn std::error::Error>> {
     let (app, actuators) = mimo_fixture();
     let stat = Eq13Statistic::new(8);
     let candidates = fig2_constraints();
-    let points = weakly_hard_latency_sweep(&app, &actuators, &stat, &exact_config(), &candidates)?;
+    let points = weakly_hard_latency_sweep_par(
+        &app,
+        &actuators,
+        &stat,
+        &exact_config(),
+        &candidates,
+        ExecPolicy::Auto,
+    )?;
     print!("{:>12}", "constraint");
     for k in 1..=actuators.len() {
         print!("{k:>10}");
@@ -160,11 +168,10 @@ fn fig3() -> Result<(), Box<dyn std::error::Error>> {
 /// Fig. 4: TX power profiling and A_MIMO latency per power setting.
 fn fig4() -> Result<(), Box<dyn std::error::Error>> {
     println!("== Fig. 4 — TX power design-space exploration ==");
-    let mut rng = ChaCha8Rng::seed_from_u64(99);
     let (app, _) = mimo_fixture();
     let soft = constrain_sinks(&app, 0.8)?;
     let powers = fig4_powers();
-    let points = explore_tx_power(
+    let points = explore_tx_power_par(
         &app,
         &soft,
         &greedy_config(),
@@ -172,7 +179,8 @@ fn fig4() -> Result<(), Box<dyn std::error::Error>> {
         0.02,
         &powers,
         25,
-        &mut rng,
+        99,
+        ExecPolicy::Auto,
     )?;
     println!(
         "{:>6} {:>10} {:>8} {:>14}",
@@ -206,20 +214,20 @@ fn validation() -> Result<(), Box<dyn std::error::Error>> {
     println!("== § IV-A — simulation-based validation ==");
     let (app, actuate) = pipeline()?;
     let cfg = exact_config();
-    let mut rng = ChaCha8Rng::seed_from_u64(2020);
 
     let soft_stat = Eq15Statistic::new(1.0, 8);
     let mut fs = SoftConstraints::new();
     fs.set(actuate, 0.9)?;
     let soft = schedule_soft(&app, &soft_stat, &fs, &cfg)?;
-    for r in validate_soft(
+    for r in validate_soft_par(
         &app,
         &soft_stat,
         &fs,
         &soft.schedule,
         20_000,
         0.999,
-        &mut rng,
+        2020,
+        ExecPolicy::Auto,
     ) {
         println!(
             "soft  task {}: v = {:.4} vs F_s = {:.2} (margin {:.4}) → {}",
@@ -235,7 +243,16 @@ fn validation() -> Result<(), Box<dyn std::error::Error>> {
     let mut fwh = WeaklyHardConstraints::new();
     fwh.set(actuate, Constraint::any_hit(10, 40)?)?;
     let wh = schedule_weakly_hard(&app, &wh_stat, &fwh, &cfg)?;
-    for r in validate_weakly_hard(&app, &wh_stat, &fwh, &wh.schedule, 400, 100, &mut rng)? {
+    for r in validate_weakly_hard_par(
+        &app,
+        &wh_stat,
+        &fwh,
+        &wh.schedule,
+        400,
+        100,
+        2020,
+        ExecPolicy::Auto,
+    )? {
         println!(
             "WH    task {}: {} held in {}/{} adversarial trials → {}",
             r.task,

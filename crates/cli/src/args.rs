@@ -590,7 +590,13 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                         opts.weakly_hard = Some(PathBuf::from(cur.value("--weakly-hard")?))
                     }
                     "--stat" => opts.stat = parse_stat(&cur.value("--stat")?)?,
-                    "--kappa" => opts.kappa = cur.parsed("--kappa")?,
+                    "--kappa" => {
+                        opts.kappa = cur.parsed("--kappa")?;
+                        // Zero samples validate nothing; the soft margin divides by κ.
+                        if opts.kappa == 0 {
+                            return Err(ParseArgsError::BadValue("--kappa".into(), "0".into()));
+                        }
+                    }
                     "--trials" => opts.trials = cur.parsed("--trials")?,
                     "--seed" => opts.seed = cur.parsed("--seed")?,
                     "--threads" => opts.threads = cur.parsed("--threads")?,
@@ -1083,6 +1089,10 @@ mod tests {
             parse("schedule --app a.json --stat eq15:x").unwrap_err(),
             ParseArgsError::BadValue(_, _)
         ));
+        assert_eq!(
+            parse("validate --app a.json --schedule s.json --kappa 0").unwrap_err(),
+            ParseArgsError::BadValue("--kappa".into(), "0".into())
+        );
     }
 
     #[test]

@@ -562,7 +562,7 @@ pub(crate) fn solve(
 ) -> Result<ControlledOutcome, ScheduleError> {
     let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
     let _trace = netdag_trace::span_with(
-        "core.solve",
+        netdag_obs::keys::SPAN_CORE_SOLVE,
         &[
             ("mode", mode.into()),
             ("tasks", app.task_count().into()),

@@ -28,44 +28,9 @@ pub struct SweepPoint {
 /// Infeasible combinations yield `makespan_us = None` rather than an
 /// error; real errors (invalid statistic, solver failure) are returned.
 ///
-/// # Errors
-///
-/// Propagates non-infeasibility [`ScheduleError`]s.
-pub fn weakly_hard_latency_sweep<S: WeaklyHardStatistic + ?Sized>(
-    app: &Application,
-    actuators: &[TaskId],
-    stat: &S,
-    cfg: &SchedulerConfig,
-    candidates: &[Constraint],
-) -> Result<Vec<SweepPoint>, ScheduleError> {
-    // Kept as a plain loop (not a delegation to the `_par` variant) so the
-    // serial entry point stays available to statistics that are not `Sync`.
-    let mut out = Vec::new();
-    for &constraint in candidates {
-        for k in 1..=actuators.len() {
-            let mut f = WeaklyHardConstraints::new();
-            for &a in &actuators[..k] {
-                f.set(a, constraint)?;
-            }
-            let makespan = match schedule_weakly_hard(app, stat, &f, cfg) {
-                Ok(outcome) => Some(outcome.schedule.makespan(app)),
-                Err(ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_)) => None,
-                Err(e) => return Err(e),
-            };
-            out.push(SweepPoint {
-                constrained_tasks: k,
-                constraint,
-                makespan_us: makespan,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Parallel variant of [`weakly_hard_latency_sweep`]: every
-/// `(constraint, k)` sweep point is an independent scheduling query, so
-/// the grid is fanned out across threads. The result vector is in the
-/// same order as the serial sweep and identical for every `policy` —
+/// Every `(constraint, k)` sweep point is an independent scheduling
+/// query, so the grid is fanned out across threads. Points come back in
+/// `(constraint, k)` order and are identical for every `policy` —
 /// scheduling is deterministic and no RNG is involved.
 ///
 /// # Errors
@@ -118,8 +83,15 @@ mod tests {
         let cfg = SchedulerConfig::greedy();
         let loose = Constraint::any_hit(3, 60).unwrap();
         let tight = Constraint::any_hit(15, 60).unwrap();
-        let points =
-            weakly_hard_latency_sweep(&app, &actuators, &stat, &cfg, &[loose, tight]).unwrap();
+        let points = weakly_hard_latency_sweep_par(
+            &app,
+            &actuators,
+            &stat,
+            &cfg,
+            &[loose, tight],
+            ExecPolicy::Auto,
+        )
+        .unwrap();
         assert_eq!(points.len(), 2 * actuators.len());
         // Trend 1: more constrained actuators never decreases makespan.
         for w in points.windows(2) {
@@ -148,8 +120,15 @@ mod tests {
         let cfg = SchedulerConfig::greedy();
         // Window 10 is below the statistic's smallest window (20).
         let impossible = Constraint::any_hit(1, 10).unwrap();
-        let points =
-            weakly_hard_latency_sweep(&app, &actuators, &stat, &cfg, &[impossible]).unwrap();
+        let points = weakly_hard_latency_sweep_par(
+            &app,
+            &actuators,
+            &stat,
+            &cfg,
+            &[impossible],
+            ExecPolicy::Auto,
+        )
+        .unwrap();
         assert!(points.iter().all(|p| p.makespan_us.is_none()));
     }
 
@@ -163,7 +142,15 @@ mod tests {
             Constraint::any_hit(3, 60).unwrap(),
             Constraint::any_hit(15, 60).unwrap(),
         ];
-        let serial = weakly_hard_latency_sweep(&app, &actuators, &stat, &cfg, &candidates).unwrap();
+        let serial = weakly_hard_latency_sweep_par(
+            &app,
+            &actuators,
+            &stat,
+            &cfg,
+            &candidates,
+            ExecPolicy::Serial,
+        )
+        .unwrap();
         for threads in [2, 8] {
             let par = weakly_hard_latency_sweep_par(
                 &app,

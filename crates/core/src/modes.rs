@@ -323,7 +323,7 @@ pub fn schedule_modes(
 
     let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
     let _trace = netdag_trace::span_with(
-        "core.solve",
+        netdag_obs::keys::SPAN_CORE_SOLVE,
         &[
             ("mode", "multi_mode".into()),
             ("modes", spec.modes.len().into()),

@@ -29,58 +29,10 @@ pub struct Fig4Point {
 /// adjust the Glossy relay margin to the diameter bound, and query the
 /// soft scheduler for the minimum feasible latency.
 ///
-/// # Errors
-///
-/// Propagates non-infeasibility [`ScheduleError`]s; infeasible or
-/// disconnected power levels are reported as `latency_us = None`.
-#[allow(clippy::too_many_arguments)]
-pub fn explore_tx_power<R: Rng + ?Sized>(
-    app: &Application,
-    soft: &SoftConstraints,
-    base_cfg: &SchedulerConfig,
-    mobility_nodes: usize,
-    mobility_speed: f64,
-    powers: &[f64],
-    snapshots: usize,
-    rng: &mut R,
-) -> Result<Vec<Fig4Point>, ScheduleError> {
-    let mut out = Vec::with_capacity(powers.len());
-    for &q in powers {
-        let mut mobility = RandomWaypoint::new(mobility_nodes, mobility_speed, rng);
-        let profile = profile_power(&mut mobility, q, snapshots, rng);
-        let latency = match profile.diameter {
-            None => None,
-            Some(d) => {
-                let stat = Eq15Statistic::new(profile.mean_fss, base_cfg.chi_max);
-                let mut cfg = *base_cfg;
-                cfg.timing = cfg.timing.with_diameter(d);
-                match schedule_soft(app, &stat, soft, &cfg) {
-                    Ok(outcome) => Some(outcome.schedule.makespan(app)),
-                    Err(ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_)) => {
-                        None
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-        };
-        out.push(Fig4Point {
-            profile,
-            latency_us: latency,
-        });
-    }
-    Ok(out)
-}
-
-/// Parallel variant of [`explore_tx_power`]: each power setting is
-/// profiled and scheduled on its own thread. Instead of threading one
-/// caller RNG through all power levels, every power index `i` derives a
-/// fresh ChaCha stream from `(master_seed, i)`, so the result depends
-/// only on `master_seed` and the inputs — never on the thread count or
-/// the order in which power levels finish.
-///
-/// Note the seeding contract differs from [`explore_tx_power`] (which
-/// consumes a shared `&mut R`), so point-for-point equality with the
-/// serial function is not expected; equality across `policy` values is.
+/// Each power setting is profiled and scheduled as its own job. Every
+/// power index `i` derives a fresh ChaCha stream from `(master_seed, i)`,
+/// so the result depends only on `master_seed` and the inputs — never on
+/// the thread count or the order in which power levels finish.
 ///
 /// # Errors
 ///
@@ -250,7 +202,18 @@ mod tests {
         let soft = constrain_sinks(&app, 0.8).unwrap();
         let cfg = SchedulerConfig::greedy();
         let powers = [0.2, 0.5, 1.0];
-        let points = explore_tx_power(&app, &soft, &cfg, 13, 0.02, &powers, 15, &mut rng).unwrap();
+        let points = explore_tx_power_par(
+            &app,
+            &soft,
+            &cfg,
+            13,
+            0.02,
+            &powers,
+            15,
+            13,
+            ExecPolicy::Auto,
+        )
+        .unwrap();
         assert_eq!(points.len(), 3);
         // Feasible latencies must be non-increasing in power (stronger
         // signal ⇒ fewer retransmissions needed).

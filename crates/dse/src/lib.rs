@@ -39,8 +39,7 @@ pub mod mobility;
 pub mod profile;
 
 pub use explore::{
-    explore_tx_power, explore_tx_power_par, min_feasible_power, min_power_for_deadlines,
-    pareto_frontier, Fig4Point,
+    explore_tx_power_par, min_feasible_power, min_power_for_deadlines, pareto_frontier, Fig4Point,
 };
 pub use mobility::RandomWaypoint;
 pub use profile::{profile_power, PowerProfile};

@@ -1,12 +1,13 @@
 //! Scoped-thread fan-out over indexed jobs, with index-ordered merging.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
 /// How much parallelism to use for a fan-out.
 ///
-/// The policy never affects results — [`run_indexed`] merges by job
+/// The policy never affects results — [`try_run_indexed`] merges by job
 /// index — only how many OS threads chew through the job list.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ExecPolicy {
@@ -41,9 +42,8 @@ impl ExecPolicy {
 }
 
 /// Runs `f(0), f(1), …, f(jobs - 1)` and returns the results in index
-/// order. Threads claim indices from a shared counter and stash
-/// `(index, result)` pairs locally; the merge step reorders, so the
-/// returned vector is independent of scheduling.
+/// order, independent of scheduling. This is [`try_run_indexed`] with a
+/// job that cannot fail.
 ///
 /// # Panics
 ///
@@ -53,59 +53,28 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = policy.thread_count().min(jobs);
-    let _fanout = netdag_trace::span_with(
-        "runtime.fanout",
-        &[("jobs", jobs.into()), ("threads", threads.max(1).into())],
-    );
-    if threads <= 1 {
-        return (0..jobs)
-            .map(|i| {
-                let _job = netdag_trace::span_with("runtime.job", &[("index", i.into())]);
-                f(i)
-            })
-            .collect();
+    match try_run_indexed(policy, jobs, |i| Ok::<T, Infallible>(f(i))) {
+        Ok(out) => out,
+        Err(never) => match never {},
     }
-
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= jobs {
-                            break;
-                        }
-                        let _job = netdag_trace::span_with("runtime.job", &[("index", idx.into())]);
-                        local.push((idx, f(idx)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (idx, value) in handle.join().expect("fan-out worker panicked") {
-                slots[idx] = Some(value);
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job index claimed exactly once"))
-        .collect()
 }
 
-/// Fallible variant of [`run_indexed`]: returns the error of the
-/// *lowest-indexed* failing job — the same error a serial run would hit
-/// first — regardless of thread count. Later jobs are cancelled on a
-/// best-effort basis once any job fails.
+/// Runs `f(0), f(1), …, f(jobs - 1)` and returns the results in index
+/// order, or the error of the *lowest-indexed* failing job — the same
+/// error a serial run would hit first — regardless of thread count.
+///
+/// This is the workspace's one fan-out loop. Threads claim indices from
+/// a shared counter and stash `(index, result)` pairs locally; the merge
+/// step reorders, so the output is independent of scheduling. Later
+/// jobs are cancelled on a best-effort basis once any job fails.
 ///
 /// # Errors
 ///
 /// The lowest-indexed `Err` produced by `f`, if any.
+///
+/// # Panics
+///
+/// Propagates a panic from `f` (the scope joins all workers first).
 pub fn try_run_indexed<T, E, F>(policy: ExecPolicy, jobs: usize, f: F) -> Result<Vec<T>, E>
 where
     T: Send,
@@ -177,14 +146,11 @@ where
     Ok(out)
 }
 
-/// Runs `f(i, &mut states[i])` for every element of `states`, fanning
-/// the calls out across worker threads. Each state is visited exactly
-/// once; threads claim indices from a shared counter, so the assignment
-/// of states to threads is dynamic but the per-state effect — and
-/// therefore the final contents of `states` — is independent of the
-/// thread count. This is the in-place sibling of [`run_indexed`], built
-/// for stateful jobs like the solver's portfolio engines that must
-/// persist across repeated fan-outs.
+/// Runs `f(i, &mut states[i])` for every element of `states` through
+/// [`run_indexed`]. Each state is visited exactly once, so the final
+/// contents of `states` are independent of the thread count. Built for
+/// stateful jobs like the solver's portfolio engines that must persist
+/// across repeated fan-outs.
 ///
 /// Returning from this function is a synchronization barrier: every
 /// `f` call has completed (the scope joins all workers).
@@ -197,41 +163,11 @@ where
     S: Send,
     F: Fn(usize, &mut S) + Sync,
 {
-    let jobs = states.len();
-    let threads = policy.thread_count().min(jobs);
-    let _fanout = netdag_trace::span_with(
-        "runtime.fanout",
-        &[("jobs", jobs.into()), ("threads", threads.max(1).into())],
-    );
-    if threads <= 1 {
-        for (i, state) in states.iter_mut().enumerate() {
-            let _job = netdag_trace::span_with("runtime.job", &[("index", i.into())]);
-            f(i, state);
-        }
-        return;
-    }
-
     // One uncontended mutex per state: a cell is locked exactly once, by
     // whichever worker claims its index.
     let cells: Vec<Mutex<&mut S>> = states.iter_mut().map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= jobs {
-                        break;
-                    }
-                    let _job = netdag_trace::span_with("runtime.job", &[("index", idx.into())]);
-                    let mut guard = cells[idx].lock().expect("state mutex poisoned");
-                    f(idx, &mut guard);
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("fan-out worker panicked");
-        }
+    run_indexed(policy, cells.len(), |i| {
+        f(i, &mut cells[i].lock().expect("state mutex poisoned"));
     });
 }
 

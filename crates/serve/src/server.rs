@@ -959,7 +959,7 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
         let (resp, nodes) = {
             let _span = netdag_obs::global().span(keys::SPAN_SERVE_REQUEST);
             let _trace = netdag_trace::span_with(
-                "serve.request",
+                keys::SPAN_SERVE_REQUEST,
                 &[
                     ("op", job.work.op().to_owned().into()),
                     ("id", job.work.id().unwrap_or(0).into()),
@@ -1484,6 +1484,10 @@ fn handle_validate(req: &Request) -> Response {
         }
     };
     let kappa = req.kappa.unwrap_or(10_000) as usize;
+    if kappa == 0 {
+        counter!(keys::SERVE_ERRORS).incr();
+        return Response::error(id, "validate needs \"kappa\" > 0");
+    }
     let trials = req.trials.unwrap_or(50) as usize;
     let seed = req.seed.unwrap_or(2020);
     let policy = ExecPolicy::from_threads(req.threads.unwrap_or(1) as usize);

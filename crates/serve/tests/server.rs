@@ -425,6 +425,43 @@ fn validate_and_protocol_errors() {
     assert!(report.passed, "{}", report.report);
     assert!(report.report.contains("PASS"));
 
+    // Zero samples, for either family, is a structured error that costs
+    // no worker: both stay live and the daemon still shuts down.
+    for soft in [true, false] {
+        let mut zero = val.clone();
+        zero.id = Some(4);
+        zero.kappa = Some(0);
+        if soft {
+            zero.weakly_hard = None;
+            zero.soft = Some(SoftSpec {
+                constraints: vec![SoftEntry {
+                    task: "act".into(),
+                    probability: 0.5,
+                }],
+            });
+            zero.stat = Some(StatSpec {
+                kind: "eq15".into(),
+                fss: Some(1.0),
+            });
+        }
+        let zr = c.send(&zero);
+        assert_eq!(zr.status, STATUS_ERROR);
+        let reason = zr.reason.expect("error reason");
+        assert!(reason.contains("kappa"), "{reason}");
+    }
+    let mut polls = 0;
+    while c
+        .send(&Request::op("health"))
+        .health
+        .expect("health body")
+        .workers_live
+        != 2
+    {
+        polls += 1;
+        assert!(polls < 3_000, "a worker was lost");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
     // Malformed line.
     let bad = c.send_line("{not json");
     assert_eq!(bad.status, STATUS_ERROR);

@@ -22,9 +22,9 @@
 //! use netdag_core::prelude::*;
 //! use netdag_core::stat::Eq13Statistic;
 //! use netdag_glossy::NodeId;
-//! use netdag_validation::weakly_hard::validate_weakly_hard;
+//! use netdag_runtime::ExecPolicy;
+//! use netdag_validation::weakly_hard::validate_weakly_hard_par;
 //! use netdag_weakly_hard::Constraint;
-//! use rand::SeedableRng;
 //!
 //! let mut b = Application::builder();
 //! let s = b.task("sense", NodeId(0), 500);
@@ -36,8 +36,8 @@
 //! let stat = Eq13Statistic::new(8);
 //! let out = schedule_weakly_hard(&app, &stat, &f, &SchedulerConfig::default())?;
 //!
-//! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-//! let reports = validate_weakly_hard(&app, &stat, &f, &out.schedule, 400, 20, &mut rng)?;
+//! let reports =
+//!     validate_weakly_hard_par(&app, &stat, &f, &out.schedule, 400, 20, 7, ExecPolicy::Auto)?;
 //! assert!(reports.iter().all(|r| r.passed));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -55,5 +55,5 @@ pub use modes::{
     cross_requirement, validate_soft_switch, validate_weakly_hard_switch, SoftSwitchReport,
     WeaklyHardSwitchReport,
 };
-pub use soft::{hoeffding_margin, validate_soft, validate_soft_par, SoftReport};
-pub use weakly_hard::{validate_weakly_hard, validate_weakly_hard_par, WeaklyHardReport};
+pub use soft::{hoeffding_margin, validate_soft_par, SoftReport};
+pub use weakly_hard::{validate_weakly_hard_par, WeaklyHardReport};

@@ -83,7 +83,7 @@ pub struct WeaklyHardSwitchReport {
 ///
 /// Tasks constrained in only one mode have no cross-switch obligation and
 /// are not reported; validate them with
-/// [`crate::weakly_hard::validate_weakly_hard`] per mode.
+/// [`crate::weakly_hard::validate_weakly_hard_par`] per mode.
 ///
 /// # Errors
 ///
@@ -167,7 +167,7 @@ pub struct SoftSwitchReport {
 /// probabilities with a Hoeffding margin at `confidence`.
 ///
 /// Tasks constrained in only one mode are not reported; validate them with
-/// [`crate::soft::validate_soft`] per mode.
+/// [`crate::soft::validate_soft_par`] per mode.
 #[allow(clippy::too_many_arguments)]
 pub fn validate_soft_switch<SA, SB, R>(
     app: &Application,

@@ -63,50 +63,25 @@ pub struct SoftReport {
     pub passed: bool,
 }
 
-/// Validates every soft-constrained task of a schedule by simulation:
-/// samples eq. (11), computes `v`, and tests `v ≥ F_s(τ) − margin` with a
-/// Hoeffding margin at the given confidence.
-pub fn validate_soft<S: SoftStatistic + ?Sized, R: Rng + ?Sized>(
-    app: &Application,
-    stat: &S,
-    constraints: &SoftConstraints,
-    schedule: &Schedule,
-    kappa: usize,
-    confidence: f64,
-    rng: &mut R,
-) -> Vec<SoftReport> {
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_VALIDATION_SOFT);
-    let margin = hoeffding_margin(kappa, confidence);
-    constraints
-        .iter()
-        .map(|(task, required)| {
-            let omega = simulate_task(app, stat, schedule, task, kappa, rng);
-            let observed = omega.hit_rate();
-            netdag_obs::counter!(netdag_obs::keys::VALIDATION_SOFT_TASKS).incr();
-            SoftReport {
-                task,
-                required,
-                observed,
-                margin,
-                passed: observed >= required - margin,
-            }
-        })
-        .collect()
-}
-
 /// Chunk of Bernoulli samples handed to one parallel job in
 /// [`validate_soft_par`]. Fixed so chunk boundaries — and therefore the
 /// derived RNG streams — never depend on the thread count.
 const SOFT_CHUNK: usize = 1024;
 
-/// Parallel variant of [`validate_soft`]: the `kappa` samples of every
-/// constrained task are split into fixed `SOFT_CHUNK`-sized (1024) chunks and
-/// fanned out across threads. Each `(task, chunk)` pair derives its own
-/// ChaCha stream from `(master_seed, task index, chunk index)`, so the
-/// reports depend only on `master_seed` and the inputs, never on
-/// `policy`. The seeding contract differs from [`validate_soft`] (which
-/// consumes a shared `&mut R`), so equality with the serial function is
-/// not expected; equality across `policy` values is.
+/// Validates every soft-constrained task of a schedule by simulation:
+/// samples eq. (11), computes `v`, and tests `v ≥ F_s(τ) − margin` with a
+/// Hoeffding margin at the given confidence.
+///
+/// The `kappa` samples of every constrained task are split into fixed
+/// `SOFT_CHUNK`-sized (1024) chunks and fanned out across threads. Each
+/// `(task, chunk)` pair derives its own ChaCha stream from
+/// `(master_seed, task index, chunk index)`, so the reports depend only
+/// on `master_seed` and the inputs, never on `policy`.
+///
+/// # Panics
+///
+/// Panics if `kappa == 0` or `confidence ∉ (0, 1)` (see
+/// [`hoeffding_margin`]).
 #[allow(clippy::too_many_arguments)]
 pub fn validate_soft_par<S: SoftStatistic + Sync + ?Sized>(
     app: &Application,
@@ -119,7 +94,10 @@ pub fn validate_soft_par<S: SoftStatistic + Sync + ?Sized>(
     policy: ExecPolicy,
 ) -> Vec<SoftReport> {
     let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_VALIDATION_SOFT);
-    let _trace = netdag_trace::span_with("validation.soft", &[("kappa", kappa.into())]);
+    let _trace = netdag_trace::span_with(
+        netdag_obs::keys::SPAN_VALIDATION_SOFT,
+        &[("kappa", kappa.into())],
+    );
     let margin = hoeffding_margin(kappa, confidence);
     let tasks: Vec<(TaskId, f64)> = constraints.iter().collect();
     netdag_obs::counter!(netdag_obs::keys::VALIDATION_SOFT_TASKS).add(tasks.len() as u64);
@@ -178,8 +156,16 @@ mod tests {
         let mut f = SoftConstraints::new();
         f.set(a, 0.85).unwrap();
         let out = schedule_soft(&app, &stat, &f, &SchedulerConfig::default()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let reports = validate_soft(&app, &stat, &f, &out.schedule, 5_000, 0.999, &mut rng);
+        let reports = validate_soft_par(
+            &app,
+            &stat,
+            &f,
+            &out.schedule,
+            5_000,
+            0.999,
+            1,
+            ExecPolicy::Auto,
+        );
         assert_eq!(reports.len(), 1);
         assert!(reports[0].passed, "{reports:?}");
         assert!(reports[0].observed >= 0.85 - reports[0].margin);
@@ -195,8 +181,16 @@ mod tests {
         // Now validate against a demanding requirement it never satisfied.
         let mut f = SoftConstraints::new();
         f.set(a, 0.95).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let reports = validate_soft(&app, &stat, &f, &out.schedule, 5_000, 0.999, &mut rng);
+        let reports = validate_soft_par(
+            &app,
+            &stat,
+            &f,
+            &out.schedule,
+            5_000,
+            0.999,
+            2,
+            ExecPolicy::Auto,
+        );
         assert!(!reports[0].passed, "{reports:?}");
     }
 

@@ -56,49 +56,10 @@ pub fn simulate_task_adversarial<S: WeaklyHardStatistic + ?Sized, R: Rng + ?Size
 /// Validates every weakly hard-constrained task: run `trials` adversarial
 /// simulations of `κ` runs each and check `ω_τ ⊢ F_WH(τ)` exactly.
 ///
-/// # Errors
-///
-/// Propagates [`SynthesisError`] from pattern synthesis.
-pub fn validate_weakly_hard<S: WeaklyHardStatistic + ?Sized, R: Rng + ?Sized>(
-    app: &Application,
-    stat: &S,
-    constraints: &WeaklyHardConstraints,
-    schedule: &Schedule,
-    kappa: usize,
-    trials: usize,
-    rng: &mut R,
-) -> Result<Vec<WeaklyHardReport>, SynthesisError> {
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_VALIDATION_WEAKLY_HARD);
-    let mut out = Vec::new();
-    for (task, requirement) in constraints.iter() {
-        netdag_obs::counter!(netdag_obs::keys::VALIDATION_WEAKLY_HARD_TASKS).incr();
-        netdag_obs::counter!(netdag_obs::keys::VALIDATION_WEAKLY_HARD_TRIALS).add(trials as u64);
-        let mut satisfied = 0usize;
-        for _ in 0..trials {
-            let omega = simulate_task_adversarial(app, stat, schedule, task, kappa, rng)?;
-            if requirement.models(&omega) {
-                satisfied += 1;
-            }
-        }
-        out.push(WeaklyHardReport {
-            task,
-            requirement,
-            trials,
-            satisfied,
-            passed: satisfied == trials,
-        });
-    }
-    Ok(out)
-}
-
-/// Parallel variant of [`validate_weakly_hard`]: every `(task, trial)`
-/// pair is an independent adversarial simulation, fanned out across
-/// threads. Each pair derives its own ChaCha stream from
-/// `(master_seed, task index, trial index)`, so the reports depend only
-/// on `master_seed` and the inputs, never on `policy`. The seeding
-/// contract differs from [`validate_weakly_hard`] (which consumes a
-/// shared `&mut R`), so equality with the serial function is not
-/// expected; equality across `policy` values is.
+/// Every `(task, trial)` pair is an independent adversarial simulation,
+/// fanned out across threads. Each pair derives its own ChaCha stream
+/// from `(master_seed, task index, trial index)`, so the reports depend
+/// only on `master_seed` and the inputs, never on `policy`.
 ///
 /// # Errors
 ///
@@ -118,7 +79,7 @@ pub fn validate_weakly_hard_par<S: WeaklyHardStatistic + Sync + ?Sized>(
 ) -> Result<Vec<WeaklyHardReport>, SynthesisError> {
     let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_VALIDATION_WEAKLY_HARD);
     let _trace = netdag_trace::span_with(
-        "validation.weakly_hard",
+        netdag_obs::keys::SPAN_VALIDATION_WEAKLY_HARD,
         &[("kappa", kappa.into()), ("trials", trials.into())],
     );
     let tasks: Vec<(TaskId, Constraint)> = constraints.iter().collect();
@@ -126,7 +87,7 @@ pub fn validate_weakly_hard_par<S: WeaklyHardStatistic + Sync + ?Sized>(
     netdag_obs::counter!(netdag_obs::keys::VALIDATION_WEAKLY_HARD_TRIALS)
         .add((tasks.len() * trials) as u64);
     if trials == 0 {
-        // Vacuously passed, matching the serial loop's behavior.
+        // Vacuously passed: there is no trial to fail.
         return Ok(tasks
             .into_iter()
             .map(|(task, requirement)| WeaklyHardReport {
@@ -179,7 +140,7 @@ pub enum ExhaustiveVerdict {
     /// conjunction behavior that the statistic permits.
     CounterexampleExists,
     /// The statistic's windows are too large for the automaton product;
-    /// fall back to [`validate_weakly_hard`] sampling.
+    /// fall back to [`validate_weakly_hard_par`] sampling.
     TooLarge,
 }
 
@@ -275,9 +236,9 @@ mod tests {
         let mut f = WeaklyHardConstraints::new();
         f.set(a, Constraint::any_hit(10, 40).unwrap()).unwrap();
         let out = schedule_weakly_hard(&app, &stat, &f, &SchedulerConfig::default()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
         let reports =
-            validate_weakly_hard(&app, &stat, &f, &out.schedule, 400, 40, &mut rng).unwrap();
+            validate_weakly_hard_par(&app, &stat, &f, &out.schedule, 400, 40, 5, ExecPolicy::Auto)
+                .unwrap();
         assert_eq!(reports.len(), 1);
         assert!(reports[0].passed, "{reports:?}");
     }
@@ -297,9 +258,9 @@ mod tests {
         // Demand more than (8̄, 20) supports: ≥ 16 hits per 20.
         let mut f = WeaklyHardConstraints::new();
         f.set(a, Constraint::any_hit(16, 20).unwrap()).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
         let reports =
-            validate_weakly_hard(&app, &stat, &f, &out.schedule, 300, 20, &mut rng).unwrap();
+            validate_weakly_hard_par(&app, &stat, &f, &out.schedule, 300, 20, 6, ExecPolicy::Auto)
+                .unwrap();
         assert!(!reports[0].passed, "{reports:?}");
         assert!(reports[0].satisfied < reports[0].trials);
     }

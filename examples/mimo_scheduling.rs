@@ -4,10 +4,11 @@
 //!
 //! Run with: `cargo run --release --example mimo_scheduling`
 
-use netdag::core::explore::weakly_hard_latency_sweep;
+use netdag::core::explore::weakly_hard_latency_sweep_par;
 use netdag::core::generators::mimo_app;
 use netdag::core::prelude::*;
 use netdag::core::stat::Eq13Statistic;
+use netdag::solver::ExecPolicy;
 use netdag::weakly_hard::Constraint;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,7 +40,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ..SchedulerConfig::default()
     };
-    let points = weakly_hard_latency_sweep(&app, &actuators, &stat, &cfg, &candidates)?;
+    let points = weakly_hard_latency_sweep_par(
+        &app,
+        &actuators,
+        &stat,
+        &cfg,
+        &candidates,
+        ExecPolicy::Auto,
+    )?;
 
     println!("\nfig. 2 — makespan (µs) vs #constrained actuators:");
     print!("{:>12}", "constraint");

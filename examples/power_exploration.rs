@@ -6,8 +6,9 @@
 
 use netdag::core::generators::mimo_app;
 use netdag::core::prelude::*;
-use netdag::dse::explore::{constrain_sinks, explore_tx_power, min_feasible_power};
+use netdag::dse::explore::{constrain_sinks, explore_tx_power_par, min_feasible_power};
 use netdag::lwb::EnergyModel;
+use netdag::solver::ExecPolicy;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -18,7 +19,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = SchedulerConfig::greedy();
 
     let powers: Vec<f64> = (1..=10).map(|i| i as f64 / 10.0).collect();
-    let points = explore_tx_power(&app, &soft, &cfg, 13, 0.02, &powers, 25, &mut rng)?;
+    let points = explore_tx_power_par(
+        &app,
+        &soft,
+        &cfg,
+        13,
+        0.02,
+        &powers,
+        25,
+        99,
+        ExecPolicy::Auto,
+    )?;
 
     println!("fig. 4 — TX power profiling and latency for A_MIMO:");
     println!(

@@ -6,11 +6,10 @@
 use netdag::core::prelude::*;
 use netdag::core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag::glossy::NodeId;
-use netdag::validation::soft::validate_soft;
-use netdag::validation::weakly_hard::validate_weakly_hard;
+use netdag::solver::ExecPolicy;
+use netdag::validation::soft::validate_soft_par;
+use netdag::validation::weakly_hard::validate_weakly_hard_par;
 use netdag::weakly_hard::Constraint;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A tiny sense → control → actuate pipeline across three nodes.
@@ -57,15 +56,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Validation (paper § IV-A). ---
-    let mut rng = ChaCha8Rng::seed_from_u64(2020);
-    let soft_reports = validate_soft(
+    let soft_reports = validate_soft_par(
         &app,
         &soft_stat,
         &soft_req,
         &soft_out.schedule,
         10_000,
         0.999,
-        &mut rng,
+        2020,
+        ExecPolicy::Auto,
     );
     for r in &soft_reports {
         println!(
@@ -76,8 +75,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if r.passed { "PASS" } else { "FAIL" }
         );
     }
-    let wh_reports =
-        validate_weakly_hard(&app, &wh_stat, &wh_req, &wh_out.schedule, 400, 50, &mut rng)?;
+    let wh_reports = validate_weakly_hard_par(
+        &app,
+        &wh_stat,
+        &wh_req,
+        &wh_out.schedule,
+        400,
+        50,
+        2020,
+        ExecPolicy::Auto,
+    )?;
     for r in &wh_reports {
         println!(
             "weakly hard validation: task {} held {} under {}/{} adversarial trials → {}",

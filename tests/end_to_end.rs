@@ -7,9 +7,10 @@ use netdag::glossy::link::{Bernoulli, GilbertElliott};
 use netdag::glossy::{NodeId, SoftProfile, Topology, WeaklyHardProfile};
 use netdag::lwb::bus::LwbExecutor;
 use netdag::lwb::EnergyModel;
+use netdag::solver::ExecPolicy;
 use netdag::validation::full_stack::validate_on_bus;
-use netdag::validation::soft::validate_soft;
-use netdag::validation::weakly_hard::validate_weakly_hard;
+use netdag::validation::soft::validate_soft_par;
+use netdag::validation::weakly_hard::validate_weakly_hard_par;
 use netdag::weakly_hard::Constraint;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -44,7 +45,16 @@ fn profile_schedule_validate_replay_soft() {
     assert!(out.optimal);
 
     // 3. Statistical validation (eq. (11)).
-    let reports = validate_soft(&app, &stat, &f, &out.schedule, 8_000, 0.999, &mut rng);
+    let reports = validate_soft_par(
+        &app,
+        &stat,
+        &f,
+        &out.schedule,
+        8_000,
+        0.999,
+        101,
+        ExecPolicy::Auto,
+    );
     assert!(reports.iter().all(|r| r.passed), "{reports:?}");
 
     // 4. Replay on the very channel that was profiled.
@@ -89,7 +99,17 @@ fn profile_schedule_validate_replay_weakly_hard() {
     out.schedule.check_feasible(&app).unwrap();
 
     // Adversarial validation (eq. (12)).
-    let reports = validate_weakly_hard(&app, &stat, &f, &out.schedule, 300, 30, &mut rng).unwrap();
+    let reports = validate_weakly_hard_par(
+        &app,
+        &stat,
+        &f,
+        &out.schedule,
+        300,
+        30,
+        202,
+        ExecPolicy::Auto,
+    )
+    .unwrap();
     assert!(reports.iter().all(|r| r.passed), "{reports:?}");
 
     // On-bus replay against the same bursty channel.

@@ -3,11 +3,12 @@
 
 use netdag::control::eval::fig3_sweep;
 use netdag::control::LinearController;
-use netdag::core::explore::weakly_hard_latency_sweep;
+use netdag::core::explore::weakly_hard_latency_sweep_par;
 use netdag::core::generators::mimo_app;
 use netdag::core::prelude::*;
 use netdag::core::stat::Eq13Statistic;
-use netdag::dse::explore::{constrain_sinks, explore_tx_power, min_feasible_power};
+use netdag::dse::explore::{constrain_sinks, explore_tx_power_par, min_feasible_power};
+use netdag::solver::ExecPolicy;
 use netdag::weakly_hard::Constraint;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -22,7 +23,9 @@ fn fig2_trend_makespan_grows_with_constraints() {
         Constraint::any_hit(3, 60).unwrap(),
         Constraint::any_hit(22, 60).unwrap(),
     ];
-    let points = weakly_hard_latency_sweep(&app, &actuators, &stat, &cfg, &candidates).unwrap();
+    let points =
+        weakly_hard_latency_sweep_par(&app, &actuators, &stat, &cfg, &candidates, ExecPolicy::Auto)
+            .unwrap();
     // Within one constraint: non-decreasing in the number of actuators.
     for c in &candidates {
         let series: Vec<u64> = points
@@ -61,8 +64,18 @@ fn fig4_trend_latency_improves_with_power() {
     let (app, _) = mimo_app(&mut rng);
     let soft = constrain_sinks(&app, 0.8).unwrap();
     let cfg = SchedulerConfig::greedy();
-    let points =
-        explore_tx_power(&app, &soft, &cfg, 13, 0.02, &[0.15, 0.5, 1.0], 20, &mut rng).unwrap();
+    let points = explore_tx_power_par(
+        &app,
+        &soft,
+        &cfg,
+        13,
+        0.02,
+        &[0.15, 0.5, 1.0],
+        20,
+        13,
+        ExecPolicy::Auto,
+    )
+    .unwrap();
     let feasible: Vec<u64> = points.iter().filter_map(|p| p.latency_us).collect();
     assert!(!feasible.is_empty());
     for w in feasible.windows(2) {
