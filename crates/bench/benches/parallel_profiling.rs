@@ -1,9 +1,9 @@
-//! Tentpole bench: serial vs parallel Monte-Carlo profiling and cached
-//! vs uncached λ-table sweeps. Besides the criterion timings it writes a
+//! Tentpole bench: serial vs parallel Monte-Carlo profiling. Besides
+//! the criterion timings it writes a
 //! `BENCH_parallel.json` summary (wall time, threads, speedup) to the
 //! workspace root, plus a `BENCH_parallel_metrics.json` sidecar holding
 //! the `netdag-obs/1` counter/span report for the whole run (floods
-//! simulated, cache hits/misses, profiling spans), and a
+//! simulated, profiling spans), and a
 //! `BENCH_trace.json` measuring `netdag-trace` overhead per event with
 //! the collector disabled, enabled, and exporting — the disabled path
 //! is asserted under 5 ns/event. Speedup is reported
@@ -17,7 +17,7 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use netdag_glossy::link::Bernoulli;
-use netdag_glossy::stats::{SoftProfile, StatCache};
+use netdag_glossy::stats::SoftProfile;
 use netdag_glossy::{NodeId, Topology};
 use netdag_runtime::ExecPolicy;
 
@@ -46,16 +46,13 @@ fn time_sweep(topo: &Topology, link: &Bernoulli, policy: ExecPolicy) -> f64 {
     samples[1]
 }
 
-fn write_summary(serial_s: f64, parallel_s: f64, miss_s: f64, hit_s: f64) {
+fn write_summary(serial_s: f64, parallel_s: f64) {
     let threads = ExecPolicy::Auto.thread_count();
     let json = format!(
         "{{\n  \"bench\": \"parallel_profiling\",\n  \"runs_per_n_tx\": {RUNS},\n  \
          \"threads\": {threads},\n  \"serial_s\": {serial_s:.6},\n  \
-         \"parallel_s\": {parallel_s:.6},\n  \"speedup\": {:.3},\n  \
-         \"cache_miss_s\": {miss_s:.6},\n  \"cache_hit_s\": {hit_s:.9},\n  \
-         \"cache_speedup\": {:.1}\n}}\n",
+         \"parallel_s\": {parallel_s:.6},\n  \"speedup\": {:.3}\n}}\n",
         serial_s / parallel_s,
-        miss_s / hit_s.max(1e-9),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
     if let Err(e) = std::fs::write(path, &json) {
@@ -66,7 +63,7 @@ fn write_summary(serial_s: f64, parallel_s: f64, miss_s: f64, hit_s: f64) {
 
 /// Writes the `netdag-obs/1` report accumulated since `baseline` next to
 /// `BENCH_parallel.json`, so a run leaves behind both the timings and the
-/// instrumentation that explains them (flood counts, cache hit/miss).
+/// instrumentation that explains them (flood counts, profiling spans).
 fn write_metrics_sidecar(baseline: &netdag_obs::MetricsReport) {
     let mut delta = netdag_obs::global().snapshot().delta(baseline);
     delta
@@ -175,21 +172,7 @@ fn bench_parallel_profiling(c: &mut Criterion) {
     // so the serial/parallel pair shares identical conditions.
     let serial_s = time_sweep(&topo, &link, ExecPolicy::Serial);
     let parallel_s = time_sweep(&topo, &link, ExecPolicy::Auto);
-
-    let cache = StatCache::new();
-    let start = Instant::now();
-    let first = cache
-        .soft_profile(&topo, &link, NodeId(0), 1..=6, RUNS, SEED, ExecPolicy::Auto)
-        .expect("valid inputs");
-    let miss_s = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let second = cache
-        .soft_profile(&topo, &link, NodeId(0), 1..=6, RUNS, SEED, ExecPolicy::Auto)
-        .expect("valid inputs");
-    let hit_s = start.elapsed().as_secs_f64();
-    assert_eq!(first.table(), second.table());
-    assert_eq!(cache.stats().hits, 1);
-    write_summary(serial_s, parallel_s, miss_s, hit_s);
+    write_summary(serial_s, parallel_s);
 
     let mut group = c.benchmark_group("parallel_profiling");
     group.sample_size(10);
@@ -210,14 +193,6 @@ fn bench_parallel_profiling(c: &mut Criterion) {
     group.bench_function("soft_measure_parallel_auto", |b| {
         b.iter(|| {
             SoftProfile::measure_par(&topo, &link, NodeId(0), 1..=6, RUNS, SEED, ExecPolicy::Auto)
-                .expect("valid inputs")
-        })
-    });
-    // Warm cache: every iteration below is a pure hit.
-    group.bench_function("sweep_cached", |b| {
-        b.iter(|| {
-            cache
-                .soft_profile(&topo, &link, NodeId(0), 1..=6, RUNS, SEED, ExecPolicy::Auto)
                 .expect("valid inputs")
         })
     });

@@ -49,6 +49,6 @@ pub mod topology;
 
 pub use flood::{simulate_flood, FloodOutcome, FloodParams};
 pub use link::{Bernoulli, GilbertElliott, LossModel, NodeChurn, Perfect};
-pub use stats::{CacheStats, ProfileError, SoftProfile, StatCache, WeaklyHardProfile};
+pub use stats::{ProfileError, SoftProfile, WeaklyHardProfile};
 pub use timing::GlossyTiming;
 pub use topology::{NodeId, Topology, TopologyError};

@@ -60,38 +60,6 @@ pub trait LossModel {
     /// Advances time between floods (lets burst channels mix between
     /// rounds). The default does nothing.
     fn advance_between_floods<R: Rng + ?Sized>(&mut self, _rng: &mut R) {}
-
-    /// A parameter fingerprint for profile caching, or `None` when the
-    /// model cannot be keyed soundly — the default, so exotic or
-    /// already-mutated models bypass [`crate::stats::StatCache`] instead
-    /// of risking key collisions. Implementations must return `Some`
-    /// only when equal fingerprints imply statistically identical
-    /// channels.
-    fn fingerprint(&self) -> Option<u64> {
-        None
-    }
-
-    /// Whether the model carries evolving per-link/per-node state (burst
-    /// channels, churn). Stateful models stop being fingerprintable once
-    /// their state diverges from pristine, so their
-    /// [`crate::stats::StatCache`] bypasses are counted under a
-    /// dedicated obs key (`glossy.cache_bypasses_stateful`) — an
-    /// operator-visible signal that cache misses come from channel
-    /// statefulness, not from exotic model types. The default is
-    /// `false` (memoryless).
-    fn stateful(&self) -> bool {
-        false
-    }
-}
-
-/// FNV-1a over a sequence of `u64` words (parameter bits, tags).
-fn fingerprint_words(tag: &[u8], words: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(tag.len() + words.len() * 8);
-    bytes.extend_from_slice(tag);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
-    netdag_runtime::fnv1a(&bytes)
 }
 
 /// Lossless channel: every transmission is received.
@@ -108,10 +76,6 @@ impl Perfect {
 impl LossModel for Perfect {
     fn receive<R: Rng + ?Sized>(&mut self, _: NodeId, _: NodeId, _: &mut R) -> bool {
         true
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        Some(fingerprint_words(b"perfect", &[]))
     }
 }
 
@@ -145,10 +109,6 @@ impl Bernoulli {
 impl LossModel for Bernoulli {
     fn receive<R: Rng + ?Sized>(&mut self, _: NodeId, _: NodeId, rng: &mut R) -> bool {
         rng.gen::<f64>() < self.success
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        Some(fingerprint_words(b"bernoulli", &[self.success.to_bits()]))
     }
 }
 
@@ -246,28 +206,6 @@ impl LossModel for GilbertElliott {
             self.step_state(link, rng);
         }
     }
-
-    fn fingerprint(&self) -> Option<u64> {
-        // Only a pristine model is a pure function of its parameters;
-        // once link states accumulate, two parameter-equal models can
-        // behave differently, so caching must be bypassed.
-        if !self.state.is_empty() {
-            return None;
-        }
-        Some(fingerprint_words(
-            b"gilbert-elliott",
-            &[
-                self.p_good_to_bad.to_bits(),
-                self.p_bad_to_good.to_bits(),
-                self.success_good.to_bits(),
-                self.success_bad.to_bits(),
-            ],
-        ))
-    }
-
-    fn stateful(&self) -> bool {
-        true
-    }
 }
 
 /// Node churn on top of any base channel: nodes independently go down for
@@ -349,21 +287,6 @@ impl<L: LossModel> LossModel for NodeChurn<L> {
         }
         self.base.advance_between_floods(rng);
     }
-
-    fn fingerprint(&self) -> Option<u64> {
-        if !self.down.is_empty() {
-            return None;
-        }
-        let base = self.base.fingerprint()?;
-        Some(fingerprint_words(
-            b"node-churn",
-            &[base, self.p_fail.to_bits(), self.p_recover.to_bits()],
-        ))
-    }
-
-    fn stateful(&self) -> bool {
-        true
-    }
 }
 
 /// Distance-attenuated channel for the fig. 4 design-space exploration:
@@ -435,16 +358,6 @@ impl SignalLoss {
 impl LossModel for SignalLoss {
     fn receive<R: Rng + ?Sized>(&mut self, from: NodeId, to: NodeId, rng: &mut R) -> bool {
         rng.gen::<f64>() < self.reception_probability(from, to)
-    }
-
-    fn fingerprint(&self) -> Option<u64> {
-        let mut words = Vec::with_capacity(1 + self.positions.len() * 2);
-        words.push(self.tx_power.to_bits());
-        for (x, y) in &self.positions {
-            words.push(x.to_bits());
-            words.push(y.to_bits());
-        }
-        Some(fingerprint_words(b"signal-loss", &words))
     }
 }
 

@@ -14,10 +14,8 @@
 //! raw estimates so the scheduler's assumptions hold by construction.
 //!
 //! Profiling is instrumented through the process-global `netdag_obs`
-//! recorder: every simulated flood bumps `glossy.floods_simulated`, the
-//! profilers time themselves under the `glossy.profile_*` spans, and
-//! [`StatCache`] lookups are classified as `glossy.cache_hits` /
-//! `glossy.cache_misses` / `glossy.cache_bypasses`.
+//! recorder: every simulated flood bumps `glossy.floods_simulated`, and
+//! the profilers time themselves under the `glossy.profile_*` spans.
 
 use std::error::Error;
 use std::fmt;
@@ -479,214 +477,6 @@ impl WeaklyHardProfile {
     }
 }
 
-/// Cache key for one soft-profile measurement. The execution policy is
-/// deliberately absent: [`SoftProfile::measure_par`] is thread-count
-/// invariant, so the policy cannot change the result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SoftKey {
-    topo: u64,
-    link: u64,
-    initiator: u32,
-    n_tx_min: u32,
-    n_tx_max: u32,
-    runs: u32,
-    seed: u64,
-}
-
-/// Cache key for one weakly hard profile measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct WeaklyHardKey {
-    topo: u64,
-    link: u64,
-    initiator: u32,
-    n_tx_min: u32,
-    n_tx_max: u32,
-    window: u32,
-    kappa: u32,
-    safety_margin: u32,
-    seed: u64,
-}
-
-/// Cache hit/miss counters, for reporting and benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that ran a measurement.
-    pub misses: u64,
-    /// Profiles currently cached.
-    pub entries: usize,
-}
-
-/// Memoizes monotonized λ tables across profiling calls.
-///
-/// Exploration loops (λ sweeps, design-space exploration, validation)
-/// re-profile the same `(topology, loss model, N_TX range, runs, seed)`
-/// point many times; since [`SoftProfile::measure_par`] and
-/// [`WeaklyHardProfile::measure_par`] are pure functions of that tuple,
-/// their results are shared through [`std::sync::Arc`]s here.
-///
-/// Loss models whose [`LossModel::fingerprint`] returns `None` (exotic
-/// models, or stateful ones that already mutated) bypass the cache: the
-/// measurement still runs, it is just not stored.
-#[derive(Debug, Default)]
-pub struct StatCache {
-    soft: netdag_runtime::Memo<SoftKey, SoftProfile>,
-    weakly_hard: netdag_runtime::Memo<WeaklyHardKey, WeaklyHardProfile>,
-}
-
-impl StatCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        StatCache::default()
-    }
-
-    /// Cached [`SoftProfile::measure_par`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ProfileError`]; errors are never cached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn soft_profile<L: LossModel + Clone + Sync>(
-        &self,
-        topo: &Topology,
-        link: &L,
-        initiator: NodeId,
-        n_tx_range: std::ops::RangeInclusive<u32>,
-        runs: u32,
-        master_seed: u64,
-        policy: ExecPolicy,
-    ) -> Result<std::sync::Arc<SoftProfile>, ProfileError> {
-        let computed = std::cell::Cell::new(false);
-        let measure = || {
-            computed.set(true);
-            SoftProfile::measure_par(
-                topo,
-                link,
-                initiator,
-                n_tx_range.clone(),
-                runs,
-                master_seed,
-                policy,
-            )
-        };
-        match link.fingerprint() {
-            Some(link_fp) => {
-                let key = SoftKey {
-                    topo: topo.fingerprint(),
-                    link: link_fp,
-                    initiator: initiator.0,
-                    n_tx_min: *n_tx_range.start(),
-                    n_tx_max: *n_tx_range.end(),
-                    runs,
-                    seed: master_seed,
-                };
-                let result = self.soft.get_or_try_insert_with(&key, measure);
-                Self::count_lookup(computed.get());
-                result
-            }
-            None => {
-                netdag_obs::counter!(netdag_obs::keys::GLOSSY_CACHE_BYPASSES).incr();
-                if link.stateful() {
-                    // Distinguish "bypassed because the channel carries
-                    // burst/churn state" from generic unfingerprintable
-                    // models — the soak harness watches this key.
-                    netdag_obs::counter!(netdag_obs::keys::GLOSSY_CACHE_BYPASSES_STATEFUL).incr();
-                }
-                measure().map(std::sync::Arc::new)
-            }
-        }
-    }
-
-    /// Cached [`WeaklyHardProfile::measure_par`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ProfileError`]; errors are never cached.
-    #[allow(clippy::too_many_arguments)]
-    pub fn weakly_hard_profile<L: LossModel + Clone + Sync>(
-        &self,
-        topo: &Topology,
-        link: &L,
-        initiator: NodeId,
-        n_tx_range: std::ops::RangeInclusive<u32>,
-        window: u32,
-        kappa: u32,
-        safety_margin: u32,
-        master_seed: u64,
-        policy: ExecPolicy,
-    ) -> Result<std::sync::Arc<WeaklyHardProfile>, ProfileError> {
-        let computed = std::cell::Cell::new(false);
-        let measure = || {
-            computed.set(true);
-            WeaklyHardProfile::measure_par(
-                topo,
-                link,
-                initiator,
-                n_tx_range.clone(),
-                window,
-                kappa,
-                safety_margin,
-                master_seed,
-                policy,
-            )
-        };
-        match link.fingerprint() {
-            Some(link_fp) => {
-                let key = WeaklyHardKey {
-                    topo: topo.fingerprint(),
-                    link: link_fp,
-                    initiator: initiator.0,
-                    n_tx_min: *n_tx_range.start(),
-                    n_tx_max: *n_tx_range.end(),
-                    window,
-                    kappa,
-                    safety_margin,
-                    seed: master_seed,
-                };
-                let result = self.weakly_hard.get_or_try_insert_with(&key, measure);
-                Self::count_lookup(computed.get());
-                result
-            }
-            None => {
-                netdag_obs::counter!(netdag_obs::keys::GLOSSY_CACHE_BYPASSES).incr();
-                if link.stateful() {
-                    // Distinguish "bypassed because the channel carries
-                    // burst/churn state" from generic unfingerprintable
-                    // models — the soak harness watches this key.
-                    netdag_obs::counter!(netdag_obs::keys::GLOSSY_CACHE_BYPASSES_STATEFUL).incr();
-                }
-                measure().map(std::sync::Arc::new)
-            }
-        }
-    }
-
-    /// Mirrors one fingerprinted cache lookup into the global metrics
-    /// recorder (a lookup that ran the measurement closure is a miss).
-    fn count_lookup(computed: bool) {
-        if computed {
-            netdag_obs::counter!(netdag_obs::keys::GLOSSY_CACHE_MISSES).incr();
-        } else {
-            netdag_obs::counter!(netdag_obs::keys::GLOSSY_CACHE_HITS).incr();
-        }
-    }
-
-    /// Aggregate hit/miss counters over both tables.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.soft.hits() + self.weakly_hard.hits(),
-            misses: self.soft.misses() + self.weakly_hard.misses(),
-            entries: self.soft.len() + self.weakly_hard.len(),
-        }
-    }
-
-    /// Drops every cached profile (counters keep running).
-    pub fn clear(&self) {
-        self.soft.clear();
-        self.weakly_hard.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,7 +484,6 @@ mod tests {
     use netdag_weakly_hard::order;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use std::sync::Arc;
 
     #[test]
     fn soft_profile_monotone_and_sane() {
@@ -886,114 +675,5 @@ mod tests {
         assert!(matches!(err, ProfileError::Flood(FloodError::ZeroNtx)));
         // The flood error is reachable through source() for error-chain walkers.
         assert!(err.source().is_some());
-    }
-
-    #[test]
-    fn stat_cache_hits_on_identical_requests() {
-        let topo = Topology::line(4).unwrap();
-        let link = Bernoulli::new(0.8).unwrap();
-        let cache = StatCache::new();
-        let a = cache
-            .soft_profile(&topo, &link, NodeId(0), 1..=4, 200, 7, ExecPolicy::Serial)
-            .unwrap();
-        let b = cache
-            .soft_profile(
-                &topo,
-                &link,
-                NodeId(0),
-                1..=4,
-                200,
-                7,
-                ExecPolicy::Threads(4),
-            )
-            .unwrap();
-        // Same key (ExecPolicy is excluded: thread count cannot change results).
-        assert!(Arc::ptr_eq(&a, &b));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        // A different seed is a different key.
-        let c = cache
-            .soft_profile(&topo, &link, NodeId(0), 1..=4, 200, 8, ExecPolicy::Serial)
-            .unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.stats().entries, 2);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn stat_cache_bypasses_unfingerprintable_models() {
-        let topo = Topology::line(4).unwrap();
-        // Drive a Gilbert-Elliott model so it accumulates per-link state; its
-        // fingerprint becomes None and the cache must recompute every call.
-        let mut warm = GilbertElliott::new(0.1, 0.3, 0.9, 0.2).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let _ = SoftProfile::measure(&topo, &mut warm, NodeId(0), 1..=2, 10, &mut rng).unwrap();
-        assert!(warm.fingerprint().is_none());
-        assert!(warm.stateful());
-        let cache = StatCache::new();
-        let bypasses = netdag_obs::counter!(netdag_obs::keys::GLOSSY_CACHE_BYPASSES_STATEFUL).get();
-        let a = cache
-            .soft_profile(&topo, &warm, NodeId(0), 1..=3, 100, 7, ExecPolicy::Serial)
-            .unwrap();
-        let b = cache
-            .soft_profile(&topo, &warm, NodeId(0), 1..=3, 100, 7, ExecPolicy::Serial)
-            .unwrap();
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().entries, 0);
-        // Both lookups came from a stateful (burst) channel, so the
-        // dedicated stateful-bypass counter moved with the generic one.
-        assert!(
-            netdag_obs::counter!(netdag_obs::keys::GLOSSY_CACHE_BYPASSES_STATEFUL).get()
-                >= bypasses + 2
-        );
-    }
-
-    #[test]
-    fn stat_cache_weakly_hard_roundtrip() {
-        let topo = Topology::star(4).unwrap();
-        let link = Bernoulli::new(0.85).unwrap();
-        let cache = StatCache::new();
-        let a = cache
-            .weakly_hard_profile(
-                &topo,
-                &link,
-                NodeId(0),
-                1..=3,
-                200,
-                10,
-                1,
-                9,
-                ExecPolicy::Serial,
-            )
-            .unwrap();
-        let b = cache
-            .weakly_hard_profile(
-                &topo,
-                &link,
-                NodeId(0),
-                1..=3,
-                200,
-                10,
-                1,
-                9,
-                ExecPolicy::Serial,
-            )
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        // The cached profile matches a direct serial measurement.
-        let direct = WeaklyHardProfile::measure_par(
-            &topo,
-            &link,
-            NodeId(0),
-            1..=3,
-            200,
-            10,
-            1,
-            9,
-            ExecPolicy::Serial,
-        )
-        .unwrap();
-        assert_eq!(a.miss_table(), direct.miss_table());
     }
 }

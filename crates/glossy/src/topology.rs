@@ -265,29 +265,6 @@ impl Topology {
         self.positions.as_deref()
     }
 
-    /// A structural fingerprint (FNV-1a over the adjacency lists and
-    /// position bits), used as a cache key component by
-    /// [`crate::stats::StatCache`]. Equal topologies fingerprint equal;
-    /// collisions between different topologies are possible but need
-    /// 2⁻⁶⁴-scale bad luck.
-    pub fn fingerprint(&self) -> u64 {
-        let mut bytes = Vec::with_capacity(8 + self.edge_count() * 8);
-        bytes.extend_from_slice(&(self.node_count() as u64).to_le_bytes());
-        for neighbors in &self.adjacency {
-            bytes.extend_from_slice(&(neighbors.len() as u32).to_le_bytes());
-            for n in neighbors {
-                bytes.extend_from_slice(&n.0.to_le_bytes());
-            }
-        }
-        if let Some(positions) = &self.positions {
-            for (x, y) in positions {
-                bytes.extend_from_slice(&x.to_bits().to_le_bytes());
-                bytes.extend_from_slice(&y.to_bits().to_le_bytes());
-            }
-        }
-        netdag_runtime::fnv1a(&bytes)
-    }
-
     /// Breadth-first hop distances from `source`; `None` for unreachable.
     pub fn hop_distances(&self, source: NodeId) -> Vec<Option<u32>> {
         let mut dist = vec![None; self.node_count()];

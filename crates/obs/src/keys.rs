@@ -58,17 +58,6 @@ pub const SOLVER_PORTFOLIO_LOSER_NODES: &str = "solver.portfolio.loser_nodes";
 /// Glossy floods simulated (Monte-Carlo profiling, validation, and bus
 /// execution all funnel through `simulate_flood`).
 pub const GLOSSY_FLOODS_SIMULATED: &str = "glossy.floods_simulated";
-/// λ-table lookups served from the `StatCache`.
-pub const GLOSSY_CACHE_HITS: &str = "glossy.cache_hits";
-/// λ-table lookups that ran a measurement and stored it.
-pub const GLOSSY_CACHE_MISSES: &str = "glossy.cache_misses";
-/// λ-table lookups that bypassed the cache (unfingerprintable — e.g.
-/// stateful — loss models).
-pub const GLOSSY_CACHE_BYPASSES: &str = "glossy.cache_bypasses";
-/// The subset of bypasses caused by *stateful* channels (Gilbert–
-/// Elliott burst state, node churn) whose accumulated state makes them
-/// unfingerprintable, as opposed to generically exotic models.
-pub const GLOSSY_CACHE_BYPASSES_STATEFUL: &str = "glossy.cache_bypasses_stateful";
 
 // ── netdag-weakly-hard ──────────────────────────────────────────────
 
@@ -201,10 +190,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     CORE_EQ10_TESTS,
     CORE_MODES,
     CORE_SCHEDULES_COMPUTED,
-    GLOSSY_CACHE_BYPASSES,
-    GLOSSY_CACHE_BYPASSES_STATEFUL,
-    GLOSSY_CACHE_HITS,
-    GLOSSY_CACHE_MISSES,
     GLOSSY_FLOODS_SIMULATED,
     LWB_BEACONS_SENT,
     LWB_MODE_SWITCHES,

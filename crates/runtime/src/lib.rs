@@ -1,6 +1,6 @@
 //! Deterministic parallel execution for the NETDAG workspace.
 //!
-//! Three pieces, all std-only:
+//! Two pieces, all std-only:
 //!
 //! * [`pool`] — scoped-thread fan-out over an indexed job list. One
 //!   claim loop, [`try_run_indexed`], does all the work: threads claim
@@ -11,8 +11,6 @@
 //! * [`seed`] — fixed `(master, stream, chunk) -> [u8; 32]` seed
 //!   derivation. Work is split into *fixed-size* chunks whose RNG streams
 //!   depend only on their index, never on which thread runs them.
-//! * [`cache`] — a thread-safe memo table for expensive pure
-//!   computations (e.g. monotonized λ tables), with hit/miss counters.
 //!
 //! Together these give the "same bits at `--threads 1` and
 //! `--threads 8`" guarantee the profiling and validation layers rely on.
@@ -20,10 +18,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod pool;
 pub mod seed;
 
-pub use cache::{fnv1a, Memo};
 pub use pool::{for_each_indexed_mut, run_indexed, try_run_indexed, ExecPolicy};
 pub use seed::derive_seed;

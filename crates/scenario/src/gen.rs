@@ -156,20 +156,6 @@ impl LossModel for ScenarioLink {
             ScenarioLink::GilbertElliott(m) => m.advance_between_floods(rng),
         }
     }
-
-    fn fingerprint(&self) -> Option<u64> {
-        match self {
-            ScenarioLink::Bernoulli(m) => m.fingerprint(),
-            ScenarioLink::GilbertElliott(m) => m.fingerprint(),
-        }
-    }
-
-    fn stateful(&self) -> bool {
-        match self {
-            ScenarioLink::Bernoulli(m) => m.stateful(),
-            ScenarioLink::GilbertElliott(m) => m.stateful(),
-        }
-    }
 }
 
 /// One phase of time-varying link quality (mobility modeled as
@@ -322,8 +308,7 @@ impl Scenario {
 /// The scenario's channel as replayed by the soak driver: the phase's
 /// loss process, optionally wrapped in node churn once a
 /// [`EventKind::Churn`] fires, with a blackhole list fed by
-/// [`EventKind::LinkFail`]. Composed state makes it permanently
-/// unfingerprintable ([`LossModel::stateful`] is `true`).
+/// [`EventKind::LinkFail`].
 #[derive(Debug, Clone)]
 pub struct ScenarioChannel {
     inner: ChannelInner,
@@ -408,10 +393,6 @@ impl LossModel for ScenarioChannel {
             ChannelInner::Plain(m) => m.advance_between_floods(rng),
             ChannelInner::Churned(m) => m.advance_between_floods(rng),
         }
-    }
-
-    fn stateful(&self) -> bool {
-        true
     }
 }
 

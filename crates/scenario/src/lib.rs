@@ -27,8 +27,8 @@
 //!   ruling on latency, hit-rate floor and deadline losses at
 //!   shutdown.
 //!
-//! The `netdag soak` CLI subcommand and `bench/benches/soak.rs` are
-//! thin shells over [`soak::run_soak`]; see DESIGN.md § 15 for the
+//! The `netdag soak` CLI subcommand is a thin shell over
+//! [`soak::run_soak`]; see DESIGN.md § 15 for the
 //! scenario model and the exact invariant list.
 
 #![forbid(unsafe_code)]

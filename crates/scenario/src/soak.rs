@@ -288,9 +288,9 @@ impl SoakReport {
         Ok(())
     }
 
-    /// Renders the `BENCH_soak.json` document (shared by the bench and
-    /// `netdag soak --out`). `slo_json` is the daemon's shutdown SLO
-    /// verdict, when a gate was configured.
+    /// Renders the `BENCH_soak.json` document (`netdag soak --out`).
+    /// `slo_json` is the daemon's shutdown SLO verdict, when a gate was
+    /// configured.
     pub fn summary_json(&self, fast: bool, wall_s: f64, slo_json: Option<&str>) -> String {
         let details = self
             .violations

@@ -1459,6 +1459,14 @@ fn handle_mode_solve(
     }
 }
 
+/// Largest `kappa` (Monte-Carlo samples per task) a `validate` request
+/// may ask for: the fan-out allocates one result slot per job before any
+/// job runs, so an unbounded value could abort the daemon.
+const MAX_VALIDATE_KAPPA: u64 = 1_000_000;
+/// Largest `trials` (adversarial trials per task) a `validate` request
+/// may ask for, for the same reason.
+const MAX_VALIDATE_TRIALS: u64 = 10_000;
+
 fn handle_validate(req: &Request) -> Response {
     let id = req.id;
     let Some(app_spec) = req.app.as_ref() else {
@@ -1483,18 +1491,34 @@ fn handle_validate(req: &Request) -> Response {
             return Response::error(id, &format!("invalid spec: {e}"));
         }
     };
-    let kappa = req.kappa.unwrap_or(10_000) as usize;
-    if kappa == 0 {
+    let kappa = req.kappa.unwrap_or(10_000);
+    if kappa == 0 || kappa > MAX_VALIDATE_KAPPA {
         counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(id, "validate needs \"kappa\" > 0");
+        return Response::error(
+            id,
+            &format!("validate needs \"kappa\" in 1..={MAX_VALIDATE_KAPPA}"),
+        );
     }
-    let trials = req.trials.unwrap_or(50) as usize;
+    let trials = req.trials.unwrap_or(50);
+    if trials > MAX_VALIDATE_TRIALS {
+        counter!(keys::SERVE_ERRORS).incr();
+        return Response::error(
+            id,
+            &format!("validate needs \"trials\" <= {MAX_VALIDATE_TRIALS}"),
+        );
+    }
+    let (kappa, trials) = (kappa as usize, trials as usize);
     let seed = req.seed.unwrap_or(2020);
-    let policy = ExecPolicy::from_threads(req.threads.unwrap_or(1) as usize);
+    // Results never depend on the thread count, so capping it at the
+    // core count only stops a client from spawning unbounded threads;
+    // 0 still means auto.
+    let threads = (req.threads.unwrap_or(1) as usize).min(ExecPolicy::Auto.thread_count());
+    let policy = ExecPolicy::from_threads(threads);
+    let stat = normalized_stat(req);
     let mut report = String::new();
     let mut passed = true;
     if let Some(spec) = req.soft.as_ref() {
-        let Some(fss) = req.stat.as_ref().and_then(|s| s.fss) else {
+        let Some(fss) = stat.fss.filter(|_| stat.kind == "eq15") else {
             counter!(keys::SERVE_ERRORS).incr();
             return Response::error(
                 id,
@@ -1531,6 +1555,13 @@ fn handle_validate(req: &Request) -> Response {
         }
     }
     if let Some(spec) = req.weakly_hard.as_ref() {
+        if req.soft.is_none() && stat.kind != "eq13" {
+            counter!(keys::SERVE_ERRORS).incr();
+            return Response::error(
+                id,
+                "weakly hard validation needs \"stat\": {\"kind\": \"eq13\"}",
+            );
+        }
         let f = match spec.build(&names) {
             Ok(f) => f,
             Err(e) => {

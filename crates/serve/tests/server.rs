@@ -425,30 +425,59 @@ fn validate_and_protocol_errors() {
     assert!(report.passed, "{}", report.report);
     assert!(report.report.contains("PASS"));
 
-    // Zero samples, for either family, is a structured error that costs
-    // no worker: both stay live and the daemon still shuts down.
-    for soft in [true, false] {
-        let mut zero = val.clone();
-        zero.id = Some(4);
-        zero.kappa = Some(0);
-        if soft {
-            zero.weakly_hard = None;
-            zero.soft = Some(SoftSpec {
-                constraints: vec![SoftEntry {
-                    task: "act".into(),
-                    probability: 0.5,
-                }],
-            });
-            zero.stat = Some(StatSpec {
-                kind: "eq15".into(),
-                fss: Some(1.0),
-            });
+    let mut soft_val = val.clone();
+    soft_val.weakly_hard = None;
+    soft_val.soft = Some(SoftSpec {
+        constraints: vec![SoftEntry {
+            task: "act".into(),
+            probability: 0.5,
+        }],
+    });
+    soft_val.stat = Some(StatSpec {
+        kind: "eq15".into(),
+        fss: Some(1.0),
+    });
+
+    // Zero samples, for either family, and sample counts past the caps
+    // are structured errors naming the field that cost no worker: all
+    // stay live and the daemon still shuts down.
+    let mut rejected = Vec::new();
+    for base in [&soft_val, &val] {
+        for (field, kappa, trials) in [
+            ("kappa", 0, 20),
+            ("kappa", 1_000_001, 20),
+            ("trials", 300, 10_001),
+        ] {
+            let mut bad = base.clone();
+            bad.id = Some(4);
+            bad.kappa = Some(kappa);
+            bad.trials = Some(trials);
+            rejected.push((field, bad));
         }
-        let zr = c.send(&zero);
-        assert_eq!(zr.status, STATUS_ERROR);
-        let reason = zr.reason.expect("error reason");
-        assert!(reason.contains("kappa"), "{reason}");
     }
+    // The statistic must match the constraint family, as `solve`
+    // requires: soft constraints need eq15, weakly hard ones alone eq13.
+    let mut soft_eq13 = soft_val.clone();
+    soft_eq13.stat = Some(StatSpec {
+        kind: "eq13".into(),
+        fss: Some(1.0),
+    });
+    let mut wh_eq15 = val.clone();
+    wh_eq15.stat = soft_val.stat.clone();
+    rejected.extend([("stat", soft_eq13), ("stat", wh_eq15)]);
+    for (field, req) in rejected {
+        let r = c.send(&req);
+        assert_eq!(r.status, STATUS_ERROR, "{field}: {:?}", r.validation);
+        let reason = r.reason.expect("error reason");
+        assert!(reason.contains(field), "{reason}");
+    }
+    // A thread count past the core count is clamped; results never
+    // depend on it.
+    let mut wide = val.clone();
+    wide.threads = Some(1_000_000);
+    let mut single = val.clone();
+    single.threads = Some(1);
+    assert_eq!(c.send(&wide).validation, c.send(&single).validation);
     let mut polls = 0;
     while c
         .send(&Request::op("health"))
