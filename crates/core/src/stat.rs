@@ -263,6 +263,7 @@ impl WeaklyHardStatistic for TableWeaklyHardStatistic {
 mod tests {
     use super::*;
     use netdag_glossy::WeaklyHardProfile;
+    use netdag_weakly_hard::AdversarialSampler;
 
     #[test]
     fn eq13_matches_formula_and_is_monotone() {
@@ -273,6 +274,17 @@ mod tests {
         // Clamping below and above.
         assert_eq!(s.miss_constraint(0), s.miss_constraint(1));
         assert_eq!(s.miss_constraint(99), s.miss_constraint(10));
+    }
+
+    /// Every eq. (13) window (`20·χ`) is past the history automaton's
+    /// budget, so validation always samples in jittered mode.
+    #[test]
+    fn eq13_bounds_sample_in_jittered_mode() {
+        let s = Eq13Statistic::new(16);
+        for chi in 1..=16 {
+            let sampler = AdversarialSampler::for_constraint(&s.miss_constraint(chi)).unwrap();
+            assert!(!sampler.is_uniform(), "chi = {chi}");
+        }
     }
 
     #[test]

@@ -52,5 +52,7 @@ pub use client::Client;
 pub use fingerprint::{fingerprint, mode_fingerprint, Fingerprint};
 pub use protocol::{BatchItem, CacheStatsBody, Request, Response, ValidationReport};
 pub use ring::Ring;
+#[doc(hidden)]
+pub use server::WorkerHook;
 pub use server::{serve, ServeConfig, ServeReport};
 pub use snapshot::{CacheSnapshot, SNAPSHOT_SCHEMA};

@@ -65,12 +65,13 @@
 //! [`SloGate`] is evaluated against the windowed data at shutdown.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use netdag_core::config::{Backend, RoundStructure, ScheduleError, SchedulerConfig};
@@ -140,6 +141,40 @@ pub struct ServeConfig {
     /// ring) before accepting connections, written atomically on
     /// graceful drain. `None` disables persistence.
     pub cache_snapshot: Option<PathBuf>,
+    /// Test fixture, not a tuning knob: see [`WorkerHook`].
+    #[doc(hidden)]
+    pub worker_hook: Option<WorkerHook>,
+}
+
+/// A callback each worker runs on every dequeued job, after counting it
+/// in flight and just before its handler, with the job's op and client
+/// id. Tests use it to hold a worker at a gate they open themselves, or
+/// to inject a fault inside a worker. Neither the CLI nor the protocol
+/// can set it.
+#[doc(hidden)]
+#[derive(Clone)]
+pub struct WorkerHook(Arc<HookFn>);
+
+type HookFn = dyn Fn(&str, Option<u64>) + Send + Sync;
+
+impl WorkerHook {
+    /// Wraps `f` as a hook.
+    pub fn new(f: impl Fn(&str, Option<u64>) + Send + Sync + 'static) -> WorkerHook {
+        WorkerHook(Arc::new(f))
+    }
+}
+
+impl fmt::Debug for WorkerHook {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("WorkerHook(..)")
+    }
+}
+
+/// Hooks compare by identity.
+impl PartialEq for WorkerHook {
+    fn eq(&self, other: &WorkerHook) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl Default for ServeConfig {
@@ -157,6 +192,7 @@ impl Default for ServeConfig {
             window_tick: 64,
             slo: SloGate::default(),
             cache_snapshot: None,
+            worker_hook: None,
         }
     }
 }
@@ -966,6 +1002,9 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
                     ("rid", job.rid.into()),
                 ],
             );
+            if let Some(hook) = &shared.cfg.worker_hook {
+                (hook.0)(job.work.op(), job.work.id());
+            }
             match &job.work {
                 Work::Single { req, fp } => match req.op.as_str() {
                     "solve" => handle_solve(shared, shard, req, *fp),

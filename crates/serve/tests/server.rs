@@ -8,7 +8,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::{mpsc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use netdag_core::modes::{ModeSpec, ModesSpec, SoftModeSpec};
@@ -20,7 +20,7 @@ use netdag_serve::protocol::{
     REASON_SHUTTING_DOWN, STATUS_ERROR, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
     STATUS_REJECTED,
 };
-use netdag_serve::{serve, ServeConfig, ServeReport};
+use netdag_serve::{serve, ServeConfig, ServeReport, WorkerHook};
 
 /// Serializes this file's daemons (see the module docs).
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -840,15 +840,50 @@ fn rolling_solver_nodes_identical_across_worker_counts() {
     assert_eq!(w1, w8);
 }
 
+/// The request id [`pin_worker`] holds at its daemon's [`Gate`].
+const HOLD_ID: u64 = 100;
+
+/// A gate the test opens itself. Waiting gives up after two minutes, so
+/// a test that fails before opening it cannot wedge a worker forever.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        self.opened.notify_all();
+    }
+
+    fn wait(&self) {
+        let open = self.open.lock().unwrap_or_else(|e| e.into_inner());
+        let _ = self
+            .opened
+            .wait_timeout_while(open, Duration::from_secs(120), |open| !*open);
+    }
+}
+
+/// A closed gate and the worker hook that holds request [`HOLD_ID`] at
+/// it, for the daemon's [`ServeConfig::worker_hook`].
+fn hold_gate() -> (Arc<Gate>, WorkerHook) {
+    let gate = Arc::new(Gate::default());
+    let held = Arc::clone(&gate);
+    let hook = WorkerHook::new(move |_op, id| {
+        if id == Some(HOLD_ID) {
+            held.wait();
+        }
+    });
+    (gate, hook)
+}
+
 /// Pins a one-worker daemon's worker: solves once (request id 99), then
-/// occupies the worker with a Monte-Carlo validation of that schedule
-/// (id 100) and waits until the worker has dequeued it. Returns the
-/// holder, whose pending response is the validation's, and a control
-/// connection.
-///
-/// The validation's cost is linear in `kappa * trials` (no pruning, no
-/// early exit on a passing run), so unlike a branch-and-bound solve it
-/// cannot terminate early on a fast machine.
+/// sends a Monte-Carlo validation of that schedule (id [`HOLD_ID`]) and
+/// waits until the worker has dequeued it. The daemon must run the
+/// [`hold_gate`] hook, so the worker stays on the validation until the
+/// caller opens the gate. Returns the holder, whose pending response is
+/// the validation's, and a control connection.
 fn pin_worker(addr: std::net::SocketAddr) -> (Client, Client) {
     // Solve once so there is a schedule to validate.
     let mut holder = Client::connect(addr);
@@ -857,7 +892,7 @@ fn pin_worker(addr: std::net::SocketAddr) -> (Client, Client) {
 
     // Occupy the worker; the caller reads the response.
     let mut hold = Request::op("validate");
-    hold.id = Some(100);
+    hold.id = Some(HOLD_ID);
     hold.app = Some(pipeline_app());
     hold.weakly_hard = Some(wh_spec(10, 40));
     hold.schedule = solved.result.clone();
@@ -890,11 +925,13 @@ fn pin_worker(addr: std::net::SocketAddr) -> (Client, Client) {
 fn backpressure_bounds_queue_and_shutdown_drains() {
     let _serial = serial();
     const N: usize = 2;
+    let (gate, hook) = hold_gate();
     let (addr, report_rx) = start_server(ServeConfig {
         workers: 1,
         queue_capacity: N,
         cache_capacity: 16,
         step_nodes: 512,
+        worker_hook: Some(hook),
         ..ServeConfig::default()
     });
     let (mut holder, mut ctl) = pin_worker(addr);
@@ -942,6 +979,7 @@ fn backpressure_bounds_queue_and_shutdown_drains() {
         }
         let bye = ctl.send(&Request::op("shutdown"));
         assert_eq!(bye.status, STATUS_OK);
+        gate.open();
         handles
             .into_iter()
             .map(|h| h.join().expect("join"))
@@ -1009,10 +1047,12 @@ fn rejections_cover_both_reasons_on_both_admission_shapes() {
     let log_path =
         std::env::temp_dir().join(format!("netdag_rejections_{}.ndjson", std::process::id()));
     let _ = std::fs::remove_file(&log_path);
+    let (gate, hook) = hold_gate();
     let (addr, report_rx) = start_server(ServeConfig {
         workers: 1,
         queue_capacity: 1,
         access_log: Some(log_path.clone()),
+        worker_hook: Some(hook),
         ..ServeConfig::default()
     });
     let (mut holder, mut ctl) = pin_worker(addr);
@@ -1062,6 +1102,7 @@ fn rejections_cover_both_reasons_on_both_admission_shapes() {
         assert_eq!(late.reason.as_deref(), Some(REASON_SHUTTING_DOWN));
         assert_eq!(late.id, Some(id));
     }
+    gate.open();
 
     // Accepted work is drained.
     let drained = queued.read_response();

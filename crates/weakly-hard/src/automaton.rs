@@ -18,11 +18,18 @@ use std::fmt;
 use crate::constraint::Constraint;
 use crate::sequence::Sequence;
 
-/// Construction refuses to build automata larger than this. History
-/// automata need `2^(K−1)` states, so windows beyond ~17 are rejected;
-/// callers fall back to non-uniform generators (see
+/// Construction refuses to build automata larger than this. See
+/// [`MAX_WINDOW`] for what it means for window constraints; callers fall
+/// back to non-uniform generators (see
 /// [`crate::synthesis::AdversarialSampler`]).
 const MAX_STATES: usize = 1 << 16;
+
+/// Largest window `K` whose history automaton fits [`MAX_STATES`]. The
+/// warm-up phase extends every history shorter than `K − 1` without a
+/// check, so the builder reaches all `2^K − 1` length-prefixed codes
+/// whatever `m` is; the budget therefore admits exactly the `K` with
+/// `2^K − 1 ≤ MAX_STATES`.
+const MAX_WINDOW: u32 = (MAX_STATES + 1).ilog2();
 
 /// Error returned when DFA construction would exceed the state budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +84,8 @@ impl Dfa {
     /// # Errors
     ///
     /// Returns [`BuildDfaError`] when the reachable state space exceeds the
-    /// internal budget (large windows with mid-range `m`).
+    /// internal budget of `2^16` states: every window constraint with
+    /// `K > 16`, whatever its `m`.
     pub fn from_constraint(c: &Constraint) -> Result<Self, BuildDfaError> {
         let raw = match *c {
             Constraint::RowMiss { m } => Self::build_row_miss(m),
@@ -112,15 +120,15 @@ impl Dfa {
     /// `K − 1` bit) recent history, length-prefixed so that the warm-up
     /// phase (windows not yet complete) is handled exactly.
     fn build_windowed(c: &Constraint) -> Result<Self, BuildDfaError> {
-        let k = c.window().expect("windowed constraint") as usize;
-        // History codes are length-prefixed u64s (up to `K − 1` payload
-        // bits plus the marker), so windows beyond 64 are unencodable
-        // regardless of the state budget. Constraints with few misses
-        // keep the reachable set small enough to dodge the MAX_STATES
-        // check while still growing 65-bit codes, so refuse up front.
-        if k > 64 {
+        let k = c.window().expect("windowed constraint");
+        // The builder reaches all `2^K − 1` history codes (see
+        // MAX_WINDOW), so a window past the budget is refused before any
+        // state is built. This also keeps codes (`K − 1` payload bits
+        // plus the marker) inside a u64.
+        if k > MAX_WINDOW {
             return Err(BuildDfaError { constraint: *c });
         }
+        let k = k as usize;
         let h = k - 1;
         // Encode history as bits | 1 << len (the marker makes lengths unique).
         let start_code: u64 = 1;
@@ -157,9 +165,6 @@ impl Dfa {
                         Some(&t) => t,
                         None => {
                             let t = codes.len() as u32;
-                            if codes.len() >= MAX_STATES {
-                                return Err(BuildDfaError { constraint: *c });
-                            }
                             ids.insert(code, t);
                             codes.push(code);
                             trans.push([u32::MAX; 2]);
@@ -628,5 +633,44 @@ mod tests {
     fn row_miss_dfa_is_tiny() {
         let dfa = Dfa::from_constraint(&Constraint::row_miss(3)).unwrap();
         assert!(dfa.state_count() <= 5);
+    }
+
+    /// The premise of the up-front window refusal: whatever `m` is, the
+    /// unminimized history automaton holds all `2^K − 1` codes plus the
+    /// sink.
+    #[test]
+    fn history_automaton_has_exactly_two_to_the_k_states() {
+        assert_eq!(MAX_WINDOW, 16);
+        for k in 1..=MAX_WINDOW {
+            for m in [0, 1, k / 2, k - 1, k] {
+                for c in [
+                    Constraint::AnyMiss { m, k },
+                    Constraint::AnyHit { m, k },
+                    Constraint::RowHit { m, k },
+                ] {
+                    let raw = Dfa::build_windowed(&c).unwrap();
+                    assert_eq!(raw.state_count(), 1 << k, "{c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windows_past_the_budget_are_refused() {
+        for k in [17u32, 20, 64, 65] {
+            for m in [1, k / 2, k - 1] {
+                for c in [
+                    Constraint::AnyMiss { m, k },
+                    Constraint::AnyHit { m, k },
+                    Constraint::RowHit { m, k },
+                ] {
+                    assert_eq!(
+                        Dfa::from_constraint(&c),
+                        Err(BuildDfaError { constraint: c }),
+                        "{c}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -201,12 +201,15 @@ pub fn random_burst_pattern<R: Rng + ?Sized>(
 
 /// Sampler over the adversarial set of eq. (12).
 ///
-/// For small windows the sampler is exactly uniform over the set (via a
-/// [`Dfa`] difference construction). For windows too large to compile to
-/// a DFA it falls back to a *verified jittered-burst* generator: random
-/// rotations and random miss thinning of the worst-case pattern, rejected
-/// until the eq. (12) membership conditions hold — still exact membership,
-/// just not uniform.
+/// For windows `K ≤ 15` the sampler is exactly uniform over the set (via
+/// a [`Dfa`] difference construction; the stricter-`K` automaton has
+/// window `K + 1`, and [`Dfa::from_constraint`] refuses windows past 16).
+/// For larger windows it falls back to a *verified jittered-burst*
+/// generator: random rotations and random miss thinning of the worst-case
+/// pattern, rejected until the eq. (12) membership conditions hold —
+/// still exact membership, just not uniform. Past `K = 16` the target
+/// automaton is refused before any state is built, so such a sampler
+/// costs nothing to construct.
 ///
 /// # Example
 ///
@@ -408,6 +411,16 @@ mod tests {
         }
         // Too short for the witness windows.
         assert_eq!(sampler.sample(20, &mut rng), None);
+    }
+
+    #[test]
+    fn sampler_is_uniform_exactly_while_the_stricter_window_compiles() {
+        for (m, k) in [(2, 5), (3, 10), (1, 15)] {
+            assert!(AdversarialSampler::new(m, k).unwrap().is_uniform());
+        }
+        for (m, k) in [(1, 16), (2, 16), (8, 20)] {
+            assert!(!AdversarialSampler::new(m, k).unwrap().is_uniform());
+        }
     }
 
     #[test]
