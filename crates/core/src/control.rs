@@ -12,11 +12,19 @@
 //!   controller between steps, returning the best incumbent so far
 //!   when the controller says stop.
 //!
-//! Both knobs are bundled in [`SolveControl`]; results carry a
-//! [`ControlledOutcome::complete`] flag so callers can mark truncated
-//! answers. Determinism is preserved: with the default single-engine
-//! configuration, a warm-started solve returns the bit-identical
-//! schedule the cold solve would (see
+//! Both knobs are bundled in [`SolveControl`], which
+//! [`crate::soft::schedule_soft_controlled`],
+//! [`crate::weakly_hard::schedule_weakly_hard_controlled`] and the joint
+//! [`crate::modes::schedule_modes_controlled`] all accept; results carry
+//! a `complete` flag ([`ControlledOutcome::complete`],
+//! [`crate::modes::ModeScheduleOutcome::complete`]) so callers can mark
+//! truncated answers. Batch and controlled entry points share one
+//! exact-search driver: a batch solve is a controlled one with no warm
+//! bound and no pause. That driver closes the relaxation once per solve
+//! and lends it to the warm attempt and to the cold fallback, so a
+//! fallback never re-runs the presolve. Determinism is preserved: with
+//! the default single-engine configuration, a warm-started solve returns
+//! the bit-identical schedule the cold solve would (see
 //! [`SolveControl::warm_bound`]).
 
 use netdag_solver::SearchStats;

@@ -10,7 +10,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use netdag_solver::{Model, PresolveStep, Relaxation, SearchConfig, SearchStats, VarId};
+use netdag_solver::{
+    Model, PresolveStep, PresolveWitness, Relaxation, SearchConfig, SearchStats, Solution, VarId,
+};
 
 use crate::app::{Application, MsgId, TaskId};
 use crate::config::{
@@ -114,7 +116,6 @@ pub(crate) struct ModeVars {
 pub(crate) struct EncodedModel {
     model: Model,
     vars: ModeVars,
-    node_limit: Option<u64>,
 }
 
 /// Encodes one copy of the scheduling problem (variables + constraints)
@@ -389,9 +390,8 @@ fn encode_into(
 }
 
 /// Builds the full single-mode CSP encoding (variables + constraints)
-/// without solving it, so callers can choose between the batch search
-/// ([`solve_exact`]) and an externally steered engine
-/// ([`solve_exact_controlled`]).
+/// without solving it, for the presolve ([`presolve_exact`]) and the
+/// solve ([`solve_exact`]).
 fn build_model(
     app: &Application,
     cfg: &SchedulerConfig,
@@ -401,19 +401,7 @@ fn build_model(
 ) -> Result<EncodedModel, ScheduleError> {
     let mut model = Model::new();
     let vars = encode_into(&mut model, "", app, cfg, rounds, spec, deadlines)?;
-    Ok(EncodedModel {
-        model,
-        vars,
-        node_limit: node_limit_of(cfg),
-    })
-}
-
-/// The search-node budget of the configured exact backend.
-fn node_limit_of(cfg: &SchedulerConfig) -> Option<u64> {
-    match cfg.backend {
-        crate::config::Backend::Exact { node_limit } => node_limit,
-        crate::config::Backend::Greedy => None,
-    }
+    Ok(EncodedModel { model, vars })
 }
 
 /// Reads one mode's schedule out of a complete solver assignment.
@@ -421,7 +409,7 @@ fn extract_schedule(
     cfg: &SchedulerConfig,
     rounds: &[Vec<MsgId>],
     vars: &ModeVars,
-    best: &netdag_solver::Solution,
+    best: &Solution,
 ) -> Schedule {
     let chi: Vec<u32> = vars
         .chi_vars
@@ -493,32 +481,36 @@ fn render_chain(name_of: &dyn Fn(VarId) -> String, steps: &[PresolveStep]) -> Ve
     out
 }
 
-/// CPM presolve over a built model: closes the difference-constraint
-/// subsystem and, when some start's earliest slot exceeds its latest
-/// slot, rejects the spec with a named explanation — zero search nodes.
-fn check_presolve_with(
-    model: &Model,
-    name_of: &dyn Fn(VarId) -> String,
-) -> Result<(), ScheduleError> {
-    let relax = Relaxation::build(model, None);
-    if let Some(w) = relax.witness() {
-        let explanation = InfeasibilityExplanation {
-            entity: name_of(w.var),
-            earliest: w.earliest,
-            latest: w.latest,
-            forward: render_chain(name_of, &w.forward),
-            backward: render_chain(name_of, &w.backward),
-        };
-        return Err(ScheduleError::InfeasibleTiming(Box::new(explanation)));
-    }
-    Ok(())
+/// The named explanation of a presolve witness: the entity whose
+/// earliest slot exceeds its latest one, with both forcing chains.
+fn timing_error(w: &PresolveWitness, name_of: &dyn Fn(VarId) -> String) -> ScheduleError {
+    ScheduleError::InfeasibleTiming(Box::new(InfeasibilityExplanation {
+        entity: name_of(w.var),
+        earliest: w.earliest,
+        latest: w.latest,
+        forward: render_chain(name_of, &w.forward),
+        backward: render_chain(name_of, &w.backward),
+    }))
 }
 
+/// Names a variable of a single-mode encoding: its spec-level name, or
+/// the solver's variable name.
+fn single_mode_name<'a>(
+    app: &'a Application,
+    enc: &'a EncodedModel,
+) -> impl Fn(VarId) -> String + 'a {
+    move |v| entity_in_mode(app, &enc.vars, v).unwrap_or_else(|| enc.model.var_name(v).to_owned())
+}
+
+/// CPM presolve over a single-mode encoding: closes the
+/// difference-constraint subsystem and, when some start's earliest slot
+/// exceeds its latest slot, rejects the spec with a named explanation —
+/// zero search nodes.
 fn check_presolve(enc: &EncodedModel, app: &Application) -> Result<(), ScheduleError> {
-    let name_of = |v: VarId| {
-        entity_in_mode(app, &enc.vars, v).unwrap_or_else(|| enc.model.var_name(v).to_owned())
-    };
-    check_presolve_with(&enc.model, &name_of)
+    match Relaxation::build(&enc.model, None).witness() {
+        Some(w) => Err(timing_error(w, &single_mode_name(app, enc))),
+        None => Ok(()),
+    }
 }
 
 /// Builds the encoding and runs only the CPM presolve: an
@@ -542,6 +534,16 @@ pub(crate) fn presolve_exact(
     check_presolve(&enc, app)
 }
 
+/// Opens the `core.solve` span pair (obs aggregate and trace span) that
+/// every solve, single- or multi-mode, runs under.
+fn solve_span(args: &[netdag_trace::Arg]) -> impl Sized {
+    let obs = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
+    let trace = netdag_trace::span_with(netdag_obs::keys::SPAN_CORE_SOLVE, args);
+    // Tuple fields drop in order: the trace span closes first, inside
+    // the obs span, exactly as two stacked guards would.
+    (trace, obs)
+}
+
 /// Runs a prepared spec through the configured backend — the one solve
 /// path behind every soft and weakly hard entry point. `mode` labels the
 /// `core.solve` trace span (`"soft"` or `"weakly_hard"`); `control`
@@ -560,24 +562,20 @@ pub(crate) fn solve(
     deadlines: &Deadlines,
     control: Option<&mut SolveControl<'_>>,
 ) -> Result<ControlledOutcome, ScheduleError> {
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
-    let _trace = netdag_trace::span_with(
-        netdag_obs::keys::SPAN_CORE_SOLVE,
-        &[
-            ("mode", mode.into()),
-            ("tasks", app.task_count().into()),
-            ("messages", app.message_count().into()),
-        ],
-    );
+    let _span = solve_span(&[
+        ("mode", mode.into()),
+        ("tasks", app.task_count().into()),
+        ("messages", app.message_count().into()),
+    ]);
     let (outcome, complete) = match cfg.backend {
         Backend::Exact { .. } => {
-            let (schedule, stats, optimal, complete) =
+            let (schedule, stats, complete) =
                 solve_exact(app, cfg, rounds, spec, deadlines, control)?;
             (
                 ScheduleOutcome {
                     schedule,
                     stats: Some(stats),
-                    optimal,
+                    optimal: stats.proven_optimal,
                 },
                 complete,
             )
@@ -598,80 +596,121 @@ pub(crate) fn solve(
     Ok(ControlledOutcome { outcome, complete })
 }
 
-/// One engine run under external control: inject an optional warm bound,
-/// then alternate `step(step_nodes)` with the `keep_going` poll.
-/// Publishes the run's stats to the global recorder (one search).
-fn run_engine(
-    enc: &EncodedModel,
-    search_cfg: &SearchConfig,
-    bound: Option<i64>,
-    step_nodes: u64,
-    keep_going: &mut dyn FnMut(&SearchStats) -> bool,
-) -> (Option<netdag_solver::Solution>, SearchStats, bool) {
-    let mut engine = enc.model.engine(Some(enc.vars.makespan), search_cfg);
-    if let Some(b) = bound {
-        engine.inject_bound(b);
-    }
-    let finished = loop {
-        if engine.step(step_nodes.max(1)) {
-            break true;
-        }
-        if !keep_going(engine.stats()) {
-            break false;
-        }
-    };
-    let outcome = engine.into_outcome();
-    netdag_solver::publish_stats(&outcome.stats);
-    (outcome.best, outcome.stats, finished)
-}
-
-/// Adds `add`'s effort counters into `total` (used to report honest
-/// totals when a controlled solve runs a warm attempt plus a cold
-/// fallback).
-fn accumulate(total: &mut SearchStats, add: &SearchStats) {
-    total.nodes += add.nodes;
-    total.decisions += add.decisions;
-    total.backtracks += add.backtracks;
-    total.propagations += add.propagations;
-    total.prunings += add.prunings;
-    total.solutions += add.solutions;
-    total.restarts += add.restarts;
-    total.lb_prunes += add.lb_prunes;
-    total.presolve_shaved += add.presolve_shaved;
-    total.trail_len_max = total.trail_len_max.max(add.trail_len_max);
-}
-
-/// Solves the full scheduling problem exactly. Returns
-/// `(schedule, stats, optimal, complete)`, where `complete` is `false`
-/// iff a controller stopped the search and the schedule is merely the
-/// best incumbent so far.
+/// The one exact-search driver behind every exact solve, single- or
+/// multi-mode. Returns the best solution, the search effort (summed
+/// over engine runs, `proven_optimal` from the last) and whether the
+/// search ran to its natural end.
 ///
-/// Without a controller the search runs to its natural end in one
-/// `minimize` call (or, with `portfolio ≥ 2`, a race of that many
-/// diverse configurations over the runtime fan-out that shares the
-/// incumbent makespan at epoch boundaries and is bit-identical at any
-/// thread count).
-///
-/// With a controller, an optional known-feasible `warm_bound` seeds
-/// branch-and-bound pruning, and the search is paused every
-/// `step_nodes` nodes to poll `keep_going` (deadline enforcement). The
-/// warm bound is injected as `cached_makespan + 1`-style
-/// *strict-improvement* bounds are exclusive: passing `B + 1` keeps
-/// every solution with makespan `≤ B` reachable, so when the true
-/// optimum is `≤ B` the search returns exactly the same
-/// lexicographically first optimal leaf the cold search would
-/// (bit-identical schedules). When the bound over-prunes (the perturbed
-/// problem's optimum is worse than the cached one), the
-/// finished-but-empty warm attempt falls back to one cold run.
-/// `portfolio ≥ 2` configurations race multiple engines and exchange
-/// bounds on their own schedule, so they ignore the controller.
+/// With `cfg.lower_bound` the relaxation is closed exactly once: a
+/// witness rejects the model with zero search nodes, named through
+/// `name_of`; otherwise the closure is lent to every engine below.
+/// `portfolio ≥ 2` races that many configurations (bit-identical at any
+/// thread count) and ignores `control`, since the race exchanges bounds
+/// on its own schedule. Otherwise one engine runs under `control`, or
+/// cold and unpaused without one (the tree `Model::minimize_with_stats`
+/// explores). The warm bound is a strict-improvement bound: a cached
+/// makespan `B` passed as `B + 1` keeps every schedule `≤ B` reachable,
+/// so the search returns the same first optimal leaf as a cold one.
+/// When it over-prunes (finished with no solution), one cold run
+/// follows.
 ///
 /// # Errors
 ///
-/// [`ScheduleError::Infeasible`] when no feasible assignment exists within
-/// the configured `chi_max`, solver errors on malformed input, and
-/// [`ScheduleError::Interrupted`] when the controller stopped the search
-/// before any incumbent was found.
+/// [`ScheduleError::InfeasibleTiming`] from the presolve,
+/// [`ScheduleError::Infeasible`] when no feasible assignment exists,
+/// solver errors on malformed input, and [`ScheduleError::Interrupted`]
+/// when the controller stopped the search before any incumbent.
+fn search(
+    model: &Model,
+    objective: VarId,
+    cfg: &SchedulerConfig,
+    name_of: &dyn Fn(VarId) -> String,
+    control: Option<&mut SolveControl<'_>>,
+) -> Result<(Solution, SearchStats, bool), ScheduleError> {
+    let relax = cfg
+        .lower_bound
+        .then(|| Relaxation::build(model, Some(objective)));
+    if let Some(w) = relax.as_ref().and_then(Relaxation::witness) {
+        return Err(timing_error(w, name_of));
+    }
+    let node_limit = match cfg.backend {
+        Backend::Exact { node_limit } => node_limit,
+        Backend::Greedy => None,
+    };
+    if cfg.portfolio >= 2 {
+        let mut configs = netdag_solver::portfolio_configs(cfg.portfolio as usize, node_limit);
+        if !cfg.lower_bound {
+            // `--no-lb` A/B runs: strip the family's bounded members.
+            for c in &mut configs {
+                c.lower_bound = false;
+            }
+        }
+        let outcome = model.minimize_portfolio(
+            objective,
+            &configs,
+            relax.as_ref(),
+            netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads),
+        )?;
+        let best = outcome.best.ok_or(ScheduleError::Infeasible)?;
+        return Ok((best, outcome.stats, true));
+    }
+    let search_cfg = SearchConfig {
+        node_limit,
+        lower_bound: cfg.lower_bound,
+        ..SearchConfig::default()
+    };
+    let mut run_to_end = |_: &SearchStats| true;
+    let (mut bound, step_nodes, keep_going): (_, _, &mut dyn FnMut(&SearchStats) -> bool) =
+        match control {
+            Some(c) => (c.warm_bound, c.step_nodes, &mut *c.keep_going),
+            None => (None, u64::MAX, &mut run_to_end),
+        };
+    let mut total = SearchStats::default();
+    loop {
+        let _search = netdag_trace::span_with(
+            "solver.search",
+            &[
+                ("vars", model.var_count().into()),
+                ("props", model.constraint_count().into()),
+                ("optimize", true.into()),
+            ],
+        );
+        let mut engine = model.engine(Some(objective), &search_cfg, relax.as_ref());
+        if let Some(b) = bound {
+            engine.inject_bound(b);
+        }
+        let finished = loop {
+            if engine.step(step_nodes) {
+                break true;
+            }
+            if !keep_going(engine.stats()) {
+                break false;
+            }
+        };
+        let outcome = engine.into_outcome();
+        netdag_solver::publish_stats(&outcome.stats);
+        total.add_effort(&outcome.stats);
+        total.proven_optimal = outcome.stats.proven_optimal;
+        match outcome.best {
+            Some(best) => return Ok((best, total, finished)),
+            // The warm bound may have pruned a worse-than-cached optimum
+            // (perturbed constraints); distinguish that from true
+            // infeasibility with a cold run.
+            None if finished && bound.take().is_some() => {}
+            None if finished => return Err(ScheduleError::Infeasible),
+            None => return Err(ScheduleError::Interrupted),
+        }
+    }
+}
+
+/// Solves the full scheduling problem exactly through [`search`].
+/// Returns `(schedule, stats, complete)`, where `complete` is `false`
+/// iff a controller stopped the search and the schedule is merely the
+/// best incumbent so far.
+///
+/// # Errors
+///
+/// As [`search`], plus encoding errors.
 pub(crate) fn solve_exact(
     app: &Application,
     cfg: &SchedulerConfig,
@@ -679,71 +718,12 @@ pub(crate) fn solve_exact(
     spec: &ReliabilitySpec,
     deadlines: &Deadlines,
     control: Option<&mut SolveControl<'_>>,
-) -> Result<(Schedule, SearchStats, bool, bool), ScheduleError> {
+) -> Result<(Schedule, SearchStats, bool), ScheduleError> {
     let enc = build_model(app, cfg, rounds, spec, deadlines)?;
-    if cfg.lower_bound {
-        // Reject timing-infeasible specs with a named explanation and
-        // zero search nodes, rather than burning the node budget on a
-        // search that can only prove what the closure already knows.
-        check_presolve(&enc, app)?;
-    }
-    let search_cfg = SearchConfig {
-        node_limit: enc.node_limit,
-        lower_bound: cfg.lower_bound,
-        ..SearchConfig::default()
-    };
-    let Some(control) = control.filter(|_| cfg.portfolio < 2) else {
-        let outcome = if cfg.portfolio >= 2 {
-            let mut configs =
-                netdag_solver::portfolio_configs(cfg.portfolio as usize, enc.node_limit);
-            if !cfg.lower_bound {
-                // `--no-lb` A/B runs: strip the family's bounded members.
-                for c in &mut configs {
-                    c.lower_bound = false;
-                }
-            }
-            enc.model.minimize_portfolio(
-                enc.vars.makespan,
-                &configs,
-                netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads),
-            )?
-        } else {
-            enc.model
-                .minimize_with_stats(enc.vars.makespan, &search_cfg)?
-        };
-        let Some(best) = outcome.best else {
-            return Err(ScheduleError::Infeasible);
-        };
-        let schedule = extract_schedule(cfg, rounds, &enc.vars, &best);
-        return Ok((schedule, outcome.stats, outcome.stats.proven_optimal, true));
-    };
-    let warm_bound = control.warm_bound;
-    let step_nodes = control.step_nodes;
-    let keep_going = &mut *control.keep_going;
-    let mut total = SearchStats::default();
-    let (mut best, stats, mut finished) =
-        run_engine(&enc, &search_cfg, warm_bound, step_nodes, keep_going);
-    let mut proven = stats.proven_optimal;
-    accumulate(&mut total, &stats);
-    if best.is_none() && finished && warm_bound.is_some() {
-        // The warm bound may have pruned a worse-than-cached optimum
-        // (perturbed constraints); distinguish that from true
-        // infeasibility with a cold run.
-        let (b, stats, f) = run_engine(&enc, &search_cfg, None, step_nodes, keep_going);
-        proven = stats.proven_optimal;
-        accumulate(&mut total, &stats);
-        best = b;
-        finished = f;
-    }
-    total.proven_optimal = proven;
-    match best {
-        Some(ref sol) => {
-            let schedule = extract_schedule(cfg, rounds, &enc.vars, sol);
-            Ok((schedule, total, proven, finished))
-        }
-        None if finished => Err(ScheduleError::Infeasible),
-        None => Err(ScheduleError::Interrupted),
-    }
+    let name_of = single_mode_name(app, &enc);
+    let (best, stats, complete) = search(&enc.model, enc.vars.makespan, cfg, &name_of, control)?;
+    let schedule = extract_schedule(cfg, rounds, &enc.vars, &best);
+    Ok((schedule, stats, complete))
 }
 
 /// One mode of a joint multi-mode problem, after preprocessing: the
@@ -765,11 +745,10 @@ struct MultiModeEncoded {
     model: Model,
     per_mode: Vec<ModeVars>,
     total: VarId,
-    node_limit: Option<u64>,
 }
 
 /// Encodes the joint multi-mode CSP: each mode gets an independent copy
-/// of the full encoding, then the first `shared_prefix` rounds are pinned
+/// of the full encoding, then the first `shared` rounds are pinned
 /// equal across modes — same start time and the same `χ` for every
 /// message in them (slot and round durations follow through the shared
 /// tables) — so the bus can announce a mode change in any shared round's
@@ -779,7 +758,7 @@ fn build_multi_mode(
     cfg: &SchedulerConfig,
     rounds: &[Vec<MsgId>],
     modes: &[ModeProblem<'_>],
-    shared_prefix: usize,
+    shared: usize,
 ) -> Result<MultiModeEncoded, ScheduleError> {
     let mut model = Model::new();
     let mut per_mode = Vec::with_capacity(modes.len());
@@ -795,7 +774,6 @@ fn build_multi_mode(
             m.deadlines,
         )?);
     }
-    let shared = shared_prefix.min(rounds.len());
     for (r, round) in rounds.iter().enumerate().take(shared) {
         for mv in per_mode.iter().skip(1) {
             model.linear_eq(
@@ -827,27 +805,15 @@ fn build_multi_mode(
         model,
         per_mode,
         total,
-        node_limit: node_limit_of(cfg),
     })
 }
 
-/// Prefixes a timing-infeasibility explanation with the mode it belongs
-/// to; every other error is mode-independent and passes through.
-fn label_mode_error(name: &str, err: ScheduleError) -> ScheduleError {
-    match err {
-        ScheduleError::InfeasibleTiming(mut explanation) => {
-            explanation.entity = format!("mode '{name}': {}", explanation.entity);
-            ScheduleError::InfeasibleTiming(explanation)
-        }
-        other => other,
-    }
-}
-
-/// Solves the joint multi-mode problem exactly. Returns one schedule per
-/// mode (declaration order), the joint search statistics with the
-/// per-mode objective split in
+/// Solves the joint multi-mode problem exactly through [`search`].
+/// Returns one schedule per mode (declaration order), the joint search
+/// statistics with the per-mode objective split in
 /// [`SearchStats::mode_objectives`](netdag_solver::SearchStats), and
-/// whether joint optimality was proven.
+/// whether the search ran to its natural end (`false` when `control`
+/// stopped it; the schedules are then the best joint incumbent).
 ///
 /// When the lower bound is enabled, each mode's *own* encoding is
 /// presolved first: a mode that is infeasible on its own yields a
@@ -858,68 +824,55 @@ fn label_mode_error(name: &str, err: ScheduleError) -> ScheduleError {
 ///
 /// # Errors
 ///
-/// As [`solve_exact`], with [`ScheduleError::InfeasibleTiming`]
-/// witnesses labeled per mode.
+/// As [`search`], with [`ScheduleError::InfeasibleTiming`] witnesses
+/// labeled per mode.
 pub(crate) fn solve_multi_mode(
     app: &Application,
     cfg: &SchedulerConfig,
     rounds: &[Vec<MsgId>],
     modes: &[ModeProblem<'_>],
     shared_prefix: usize,
+    control: Option<&mut SolveControl<'_>>,
 ) -> Result<(Vec<Schedule>, SearchStats, bool), ScheduleError> {
+    let shared = shared_prefix.min(rounds.len());
+    let _span = solve_span(&[
+        ("mode", "multi_mode".into()),
+        ("modes", modes.len().into()),
+        ("shared_prefix", shared.into()),
+        ("tasks", app.task_count().into()),
+        ("messages", app.message_count().into()),
+    ]);
     if cfg.lower_bound {
         for m in modes {
             let enc = build_model(app, cfg, rounds, m.spec, m.deadlines)?;
-            check_presolve(&enc, app).map_err(|e| label_mode_error(m.name, e))?;
-        }
-    }
-    let enc = build_multi_mode(app, cfg, rounds, modes, shared_prefix)?;
-    if cfg.lower_bound {
-        let name_of = |v: VarId| {
-            for (mv, m) in enc.per_mode.iter().zip(modes) {
-                if let Some(entity) = entity_in_mode(app, mv, v) {
-                    return format!("mode '{}': {entity}", m.name);
+            check_presolve(&enc, app).map_err(|e| match e {
+                ScheduleError::InfeasibleTiming(mut explanation) => {
+                    explanation.entity = format!("mode '{}': {}", m.name, explanation.entity);
+                    ScheduleError::InfeasibleTiming(explanation)
                 }
-            }
-            enc.model.var_name(v).to_owned()
-        };
-        check_presolve_with(&enc.model, &name_of)?;
+                other => other,
+            })?;
+        }
     }
-    let outcome = if cfg.portfolio >= 2 {
-        let mut configs = netdag_solver::portfolio_configs(cfg.portfolio as usize, enc.node_limit);
-        if !cfg.lower_bound {
-            for c in &mut configs {
-                c.lower_bound = false;
+    let enc = build_multi_mode(app, cfg, rounds, modes, shared)?;
+    let name_of = |v: VarId| {
+        for (mv, m) in enc.per_mode.iter().zip(modes) {
+            if let Some(entity) = entity_in_mode(app, mv, v) {
+                return format!("mode '{}': {entity}", m.name);
             }
         }
-        enc.model.minimize_portfolio(
-            enc.total,
-            &configs,
-            netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads),
-        )?
-    } else {
-        enc.model.minimize_with_stats(
-            enc.total,
-            &SearchConfig {
-                node_limit: enc.node_limit,
-                lower_bound: cfg.lower_bound,
-                ..SearchConfig::default()
-            },
-        )?
+        enc.model.var_name(v).to_owned()
     };
-    let Some(best) = outcome.best else {
-        return Err(ScheduleError::Infeasible);
-    };
+    let (best, mut stats, complete) = search(&enc.model, enc.total, cfg, &name_of, control)?;
     let schedules: Vec<Schedule> = enc
         .per_mode
         .iter()
         .map(|mv| extract_schedule(cfg, rounds, mv, &best))
         .collect();
-    let mut stats = outcome.stats;
     for mv in &enc.per_mode {
         stats.mode_objectives.push(best.value(mv.makespan));
     }
-    Ok((schedules, stats, stats.proven_optimal))
+    Ok((schedules, stats, complete))
 }
 
 #[cfg(test)]
@@ -956,9 +909,9 @@ mod tests {
         let rounds = build_rounds(&app, RoundStructure::PerLevel);
         // ln λ table: all zero (perfect floods); threshold 0 ⇒ any χ works.
         let spec = soft_spec(&app, vec![0; cfg.chi_max as usize], 0);
-        let (schedule, _, optimal, _) =
+        let (schedule, stats, _) =
             solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new(), None).unwrap();
-        assert!(optimal);
+        assert!(stats.proven_optimal);
         schedule.check_feasible(&app).unwrap();
         // Minimal χ wins: smaller rounds, smaller makespan.
         assert_eq!(schedule.chi(MsgId(0)), 1);
@@ -972,9 +925,9 @@ mod tests {
         // log table improving with χ: needs χ ≥ 4 to reach −2000.
         let table: Vec<i64> = (1..=cfg.chi_max as i64).map(|chi| -10_000 / chi).collect();
         let spec = soft_spec(&app, table, -2_500);
-        let (schedule, _, optimal, _) =
+        let (schedule, stats, _) =
             solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new(), None).unwrap();
-        assert!(optimal);
+        assert!(stats.proven_optimal);
         schedule.check_feasible(&app).unwrap();
         assert_eq!(schedule.chi(MsgId(0)), 4);
     }
@@ -1027,9 +980,9 @@ mod tests {
                 task: TaskId(1),
             }],
         };
-        let (schedule, _, optimal, _) =
+        let (schedule, stats, _) =
             solve_exact(&app, &cfg, &rounds, &spec, &Deadlines::new(), None).unwrap();
-        assert!(optimal);
+        assert!(stats.proven_optimal);
         schedule.check_feasible(&app).unwrap();
         let chi = schedule.chi(MsgId(0));
         // χ = 1: W = 20, M = 8, W − M = 12 ≥ 10 and W ≤ 40 — feasible and
@@ -1061,8 +1014,8 @@ mod tests {
                 deadlines: &dl,
             },
         ];
-        let (schedules, stats, optimal) = solve_multi_mode(&app, &cfg, &rounds, &modes, 1).unwrap();
-        assert!(optimal);
+        let (schedules, stats, _) = solve_multi_mode(&app, &cfg, &rounds, &modes, 1, None).unwrap();
+        assert!(stats.proven_optimal);
         assert_eq!(schedules.len(), 2);
         assert_eq!(stats.mode_objectives.len(), 2);
         assert_eq!(schedules[0].chi(MsgId(0)), 4);
@@ -1095,8 +1048,8 @@ mod tests {
                 deadlines: &dl,
             },
         ];
-        let (schedules, _, optimal) = solve_multi_mode(&app, &cfg, &rounds, &modes, 0).unwrap();
-        assert!(optimal);
+        let (schedules, stats, _) = solve_multi_mode(&app, &cfg, &rounds, &modes, 0, None).unwrap();
+        assert!(stats.proven_optimal);
         // Decoupled: each mode reaches its individual optimum.
         assert_eq!(schedules[0].chi(MsgId(0)), 1);
         assert_eq!(schedules[1].chi(MsgId(0)), 4);
@@ -1124,7 +1077,7 @@ mod tests {
                 deadlines: &dl,
             },
         ];
-        let err = solve_multi_mode(&app, &cfg, &rounds, &modes, 1).unwrap_err();
+        let err = solve_multi_mode(&app, &cfg, &rounds, &modes, 1, None).unwrap_err();
         match err {
             ScheduleError::InfeasibleTiming(explanation) => {
                 assert!(

@@ -100,7 +100,8 @@ pub mod prelude {
     pub use crate::constraints::{Deadlines, SoftConstraints, WeaklyHardConstraints};
     pub use crate::control::{ControlledOutcome, SolveControl};
     pub use crate::modes::{
-        schedule_modes, ModeSchedule, ModeScheduleExport, ModeScheduleOutcome, ModeSpec, ModesSpec,
+        schedule_modes, schedule_modes_controlled, ModeSchedule, ModeScheduleExport,
+        ModeScheduleOutcome, ModeSpec, ModesSpec,
     };
     pub use crate::schedule::{Round, Schedule};
     pub use crate::soft::{

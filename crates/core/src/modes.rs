@@ -32,6 +32,7 @@
 use crate::app::{Application, TaskId};
 use crate::config::{Backend, ScheduleError, SchedulerConfig};
 use crate::constraints::Deadlines;
+use crate::control::SolveControl;
 use crate::encode::{solve_multi_mode, ModeProblem, ReliabilitySpec};
 use crate::rounds::build_rounds;
 use crate::schedule::Schedule;
@@ -127,6 +128,10 @@ pub struct ModeScheduleOutcome {
     pub stats: SearchStats,
     /// Whether joint optimality was proven.
     pub optimal: bool,
+    /// `false` when a controller stopped the joint search
+    /// ([`schedule_modes_controlled`]) and the schedules are the best
+    /// joint incumbent so far; always `true` from [`schedule_modes`].
+    pub complete: bool,
 }
 
 /// One mode of the exported multi-mode schedule document.
@@ -266,6 +271,34 @@ pub fn schedule_modes(
     spec: &ModesSpec,
     cfg: &SchedulerConfig,
 ) -> Result<ModeScheduleOutcome, ScheduleError> {
+    co_synthesize(spec, cfg, None)
+}
+
+/// As [`schedule_modes`], with the joint exact search steered by a
+/// [`SolveControl`]: the warm bound seeds the joint objective (the sum
+/// of per-mode makespans) and the search pauses every `step_nodes`
+/// nodes to poll `keep_going`, so a deadline stops it with the best
+/// joint incumbent ([`ModeScheduleOutcome::complete`] is then `false`).
+/// `portfolio ≥ 2` races on its own schedule and ignores the
+/// controller.
+///
+/// # Errors
+///
+/// As [`schedule_modes`], plus [`ScheduleError::Interrupted`] when the
+/// controller stopped the search before any joint incumbent existed.
+pub fn schedule_modes_controlled(
+    spec: &ModesSpec,
+    cfg: &SchedulerConfig,
+    control: &mut SolveControl<'_>,
+) -> Result<ModeScheduleOutcome, ScheduleError> {
+    co_synthesize(spec, cfg, Some(control))
+}
+
+fn co_synthesize(
+    spec: &ModesSpec,
+    cfg: &SchedulerConfig,
+    control: Option<&mut SolveControl<'_>>,
+) -> Result<ModeScheduleOutcome, ScheduleError> {
     cfg.validate()?;
     if matches!(cfg.backend, Backend::Greedy) {
         return Err(bad(
@@ -321,18 +354,8 @@ pub fn schedule_modes(
         })
         .collect();
 
-    let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_CORE_SOLVE);
-    let _trace = netdag_trace::span_with(
-        netdag_obs::keys::SPAN_CORE_SOLVE,
-        &[
-            ("mode", "multi_mode".into()),
-            ("modes", spec.modes.len().into()),
-            ("shared_prefix", shared.into()),
-            ("tasks", app.task_count().into()),
-            ("messages", app.message_count().into()),
-        ],
-    );
-    let (schedules, stats, optimal) = solve_multi_mode(&app, cfg, &rounds, &problems, shared)?;
+    let (schedules, stats, complete) =
+        solve_multi_mode(&app, cfg, &rounds, &problems, shared, control)?;
 
     // The coupling constraints make prefix rounds identical by
     // construction; a violated assertion here means the encoder broke.
@@ -370,7 +393,8 @@ pub fn schedule_modes(
         modes,
         shared_prefix_rounds: shared,
         stats,
-        optimal,
+        optimal: stats.proven_optimal,
+        complete,
     })
 }
 

@@ -49,13 +49,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod bus;
 pub mod codec;
 pub mod energy;
 pub mod trace;
 
-pub use admission::{AdmissionController, ContractId, RejectReason, StreamRequest};
 pub use bus::{LwbError, LwbExecutor, RunOutcome};
 pub use codec::{required_beacon_width, BeaconPayload, CodecError, SlotInfo};
 pub use energy::EnergyModel;

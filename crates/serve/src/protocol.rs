@@ -127,8 +127,8 @@ pub struct Request {
     pub config: Option<ConfigSpec>,
     /// Solve deadline in milliseconds, measured from the moment a
     /// worker picks the request up; expiry returns the best incumbent
-    /// so far with status [`STATUS_INCOMPLETE`]. `mode_solve` ignores
-    /// it for now: a joint solve always runs to completion.
+    /// so far with status [`STATUS_INCOMPLETE`] — for `solve` and for
+    /// `mode_solve`'s joint search alike.
     pub deadline_ms: Option<u64>,
     /// The schedule to check (validate only).
     pub schedule: Option<ScheduleExport>,

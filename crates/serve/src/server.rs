@@ -75,9 +75,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use netdag_core::config::{Backend, RoundStructure, ScheduleError, SchedulerConfig};
-use netdag_core::constraints::{Deadlines, WeaklyHardConstraints};
-use netdag_core::control::{ControlledOutcome, SolveControl};
-use netdag_core::modes::schedule_modes;
+use netdag_core::constraints::{Deadlines, SoftConstraints, WeaklyHardConstraints};
+use netdag_core::control::SolveControl;
+use netdag_core::modes::schedule_modes_controlled;
 use netdag_core::soft::schedule_soft_controlled;
 use netdag_core::spec::ScheduleExport;
 use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
@@ -1231,16 +1231,7 @@ fn handle_solve(
         Lookup::Miss => None,
     };
 
-    let deadline = req.deadline_ms.map(Duration::from_millis);
-    let started = Instant::now();
-    let mut keep_going = move |_: &netdag_solver::SearchStats| match deadline {
-        Some(d) => started.elapsed() < d,
-        None => true,
-    };
-    let mut control = SolveControl::warm(warm_bound, &mut keep_going);
-    control.step_nodes = shared.cfg.step_nodes;
-
-    let solved: Result<ControlledOutcome, ScheduleError> = if let Some(soft) = req.soft.as_ref() {
+    let problem = if let Some(soft) = req.soft.as_ref() {
         let Some(fss) = req
             .stat
             .as_ref()
@@ -1257,14 +1248,7 @@ fn handle_solve(
             );
         };
         match soft.build(&names) {
-            Ok(f) => schedule_soft_controlled(
-                &app,
-                &Eq15Statistic::new(fss, cfg.chi_max),
-                &f,
-                &Deadlines::new(),
-                &cfg,
-                &mut control,
-            ),
+            Ok(f) => Problem::Soft(f, fss),
             Err(e) => {
                 counter!(keys::SERVE_ERRORS).incr();
                 return (Response::error(id, &format!("invalid spec: {e}")), 0);
@@ -1281,25 +1265,35 @@ fn handle_solve(
                 0,
             );
         }
-        let f = match req.weakly_hard.as_ref() {
+        match req.weakly_hard.as_ref() {
             Some(spec) => match spec.build(&names) {
-                Ok(f) => f,
+                Ok(f) => Problem::WeaklyHard(f),
                 Err(e) => {
                     counter!(keys::SERVE_ERRORS).incr();
                     return (Response::error(id, &format!("invalid spec: {e}")), 0);
                 }
             },
-            None => WeaklyHardConstraints::new(),
-        };
-        schedule_weakly_hard_controlled(
+            None => Problem::WeaklyHard(WeaklyHardConstraints::new()),
+        }
+    };
+    let solved = under_deadline(shared, req, warm_bound, |control| match &problem {
+        Problem::Soft(f, fss) => schedule_soft_controlled(
             &app,
-            &Eq13Statistic::new(cfg.chi_max),
-            &f,
+            &Eq15Statistic::new(*fss, cfg.chi_max),
+            f,
             &Deadlines::new(),
             &cfg,
-            &mut control,
-        )
-    };
+            control,
+        ),
+        Problem::WeaklyHard(f) => schedule_weakly_hard_controlled(
+            &app,
+            &Eq13Statistic::new(cfg.chi_max),
+            f,
+            &Deadlines::new(),
+            &cfg,
+            control,
+        ),
+    });
 
     match solved {
         Ok(controlled) => {
@@ -1311,12 +1305,7 @@ fn handle_solve(
                 makespan_us: makespan,
                 optimal: controlled.outcome.optimal,
             });
-            if controlled.complete {
-                cache_answer(shared, shard, fp, answer.clone(), makespan);
-            } else {
-                counter!(keys::SERVE_DEADLINE_EXPIRED).incr();
-                shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            }
+            keep_answer(shared, shard, fp, &answer, makespan, controlled.complete);
             let warm_started = warm_bound.is_some();
             let resp = answer_response(id, &fp, answer, controlled.complete, false, warm_started);
             (resp, nodes)
@@ -1332,6 +1321,53 @@ fn handle_solve(
             0,
         ),
     }
+}
+
+/// A validated `solve` problem, ready for the controlled solve.
+enum Problem {
+    Soft(SoftConstraints, f64),
+    WeaklyHard(WeaklyHardConstraints),
+}
+
+/// Runs `solve` under the request's controller: the optional warm
+/// bound, and the `deadline_ms` poll every [`ServeConfig::step_nodes`]
+/// search nodes. The one place a request's deadline is read, for
+/// `solve` and `mode_solve` alike.
+fn under_deadline<T>(
+    shared: &Shared,
+    req: &Request,
+    warm_bound: Option<i64>,
+    solve: impl FnOnce(&mut SolveControl<'_>) -> T,
+) -> T {
+    let deadline = req.deadline_ms.map(Duration::from_millis);
+    let started = Instant::now();
+    let mut keep_going =
+        move |_: &netdag_solver::SearchStats| deadline.is_none_or(|d| started.elapsed() < d);
+    let mut control = SolveControl::warm(warm_bound, &mut keep_going);
+    control.step_nodes = shared.cfg.step_nodes;
+    solve(&mut control)
+}
+
+/// Caches a complete answer; an incomplete one (the deadline stopped
+/// the search) is not cached and counts as an expired deadline.
+fn keep_answer(
+    shared: &Shared,
+    shard: &ShardState,
+    fp: Fingerprint,
+    answer: &Answer,
+    makespan_us: u64,
+    complete: bool,
+) {
+    if complete {
+        cache_answer(shared, shard, fp, answer.clone(), makespan_us);
+    } else {
+        count_deadline_expired(shared);
+    }
+}
+
+fn count_deadline_expired(shared: &Shared) {
+    counter!(keys::SERVE_DEADLINE_EXPIRED).incr();
+    shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Probes `shard`'s cache for `fp` and counts the outcome.
@@ -1424,8 +1460,7 @@ fn failure_response(
             resp
         }
         ScheduleError::Interrupted => {
-            counter!(keys::SERVE_DEADLINE_EXPIRED).incr();
-            shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            count_deadline_expired(shared);
             let mut resp = Response::error(
                 id,
                 "deadline expired before any feasible schedule was found",
@@ -1443,7 +1478,8 @@ fn failure_response(
 
 /// Solves a `mode_solve` request: probe the shard cache for a verbatim
 /// repeat, then run the joint multi-mode co-synthesis
-/// ([`schedule_modes`]). The answer is the same
+/// ([`schedule_modes_controlled`]) under the request's deadline, which
+/// expires exactly as a `solve` deadline does. The answer is the same
 /// [`netdag_core::modes::ModeScheduleExport`] document `netdag schedule
 /// --modes --out` writes. The second tuple element is the joint solve's
 /// search-node count (zero for cache hits and error paths); `fp_hint`
@@ -1476,12 +1512,14 @@ fn handle_mode_solve(
     if let Lookup::Exact(answer) = probe(shard, &fp) {
         return (answer_response(id, &fp, answer, true, true, false), 0);
     }
-    match schedule_modes(spec, &cfg) {
+    match under_deadline(shared, req, None, |control| {
+        schedule_modes_controlled(spec, &cfg, control)
+    }) {
         Ok(outcome) => {
             let answer = Answer::Modes(outcome.export());
-            cache_answer(shared, shard, fp, answer.clone(), 0);
+            keep_answer(shared, shard, fp, &answer, 0, outcome.complete);
             (
-                answer_response(id, &fp, answer, true, false, false),
+                answer_response(id, &fp, answer, outcome.complete, false, false),
                 outcome.stats.nodes,
             )
         }

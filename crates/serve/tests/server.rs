@@ -769,6 +769,109 @@ fn deadline_with_no_incumbent_is_a_structured_error() {
     drop(report_rx);
 }
 
+/// A two-mode set over [`heavy_app`] whose joint search records its
+/// first incumbent at node 203 and proves the optimum at node 2144, so
+/// a `deadline_ms = 0` stop after one step is deterministic: 256 nodes
+/// leave an incumbent, 16 nodes leave none.
+fn heavy_modes() -> ModesSpec {
+    ModesSpec {
+        app: heavy_app(),
+        shared_prefix_rounds: Some(1),
+        modes: vec![
+            wh_mode("nominal", 10, 40, None),
+            wh_mode("degraded", 20, 40, None),
+        ],
+    }
+}
+
+/// `mode_solve` honours `deadline_ms` as `solve` does: the best joint
+/// incumbent comes back incomplete, is kept out of the cache and counts
+/// as an expired deadline.
+#[test]
+fn mode_solve_deadline_returns_best_incumbent_marked_incomplete() {
+    let _serial = serial();
+    let (addr, report_rx) = start_server(ServeConfig {
+        workers: 1,
+        queue_capacity: 16,
+        cache_capacity: 16,
+        step_nodes: 256,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+
+    let mut req = mode_request(1, heavy_modes());
+    req.deadline_ms = Some(0);
+    let r = c.send(&req);
+    assert_eq!(r.status, STATUS_INCOMPLETE, "{:?}", r.reason);
+    assert_eq!(r.complete, Some(false));
+    let incumbent = r.mode_result.expect("best joint incumbent so far");
+    assert!(!incumbent.optimal);
+    let total = |e: &netdag_core::modes::ModeScheduleExport| {
+        e.modes.iter().map(|m| m.makespan_us).sum::<u64>()
+    };
+
+    // Not cached: the same mode set without a deadline is solved from
+    // scratch and its joint objective is no worse.
+    let full = c.send(&mode_request(2, heavy_modes()));
+    assert_eq!(full.status, STATUS_OK, "{:?}", full.reason);
+    assert_eq!(full.cached, Some(false));
+    let full = full.mode_result.expect("mode schedules");
+    assert!(full.optimal);
+    assert!(total(&full) <= total(&incumbent));
+
+    let body = c
+        .send(&Request::op("cache_stats"))
+        .cache
+        .expect("cache body");
+    assert_eq!((body.misses, body.entries), (2, 1));
+
+    c.send(&Request::op("shutdown"));
+    let report = report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits after shutdown");
+    assert_eq!(report.deadline_expired, 1);
+}
+
+/// A `mode_solve` deadline that expires before any joint incumbent
+/// exists is the same structured error a `solve` gets.
+#[test]
+fn mode_solve_deadline_with_no_incumbent_is_a_structured_error() {
+    let _serial = serial();
+    let (addr, report_rx) = start_server(ServeConfig {
+        workers: 1,
+        queue_capacity: 16,
+        cache_capacity: 16,
+        step_nodes: 16,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+
+    let mut req = mode_request(1, heavy_modes());
+    req.deadline_ms = Some(0);
+    let r = c.send(&req);
+    assert_eq!(r.status, STATUS_ERROR);
+    assert_eq!(r.complete, Some(false));
+    assert!(r.mode_result.is_none());
+    assert!(
+        r.reason
+            .as_deref()
+            .unwrap_or("")
+            .contains("deadline expired"),
+        "{:?}",
+        r.reason
+    );
+
+    let full = c.send(&mode_request(2, heavy_modes()));
+    assert_eq!(full.status, STATUS_OK, "{:?}", full.reason);
+    assert_eq!(full.cached, Some(false));
+
+    c.send(&Request::op("shutdown"));
+    let report = report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits after shutdown");
+    assert_eq!(report.deadline_expired, 1);
+}
+
 /// Runs a fixed six-request session against a daemon with `workers`
 /// worker threads and returns the count-based `serve.solver_nodes`
 /// rolling-window stats the `metrics` operation reports afterwards.

@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::domain::VarId;
 use crate::propagator::{IfThenLe, LinearLe, MaxOf, MinOf, NoOverlap, Propagator, TableFn};
+use crate::relax::Relaxation;
 use crate::search::{self, Engine, SearchConfig, SearchOutcome, Solution};
 
 /// Error returned while building or solving a [`Model`].
@@ -171,8 +172,19 @@ impl Model {
     /// objective bound via [`Engine::inject_bound`] (warm starts).
     /// Callers should publish the final stats themselves with
     /// [`crate::search::publish_stats`].
-    pub fn engine(&self, objective: Option<VarId>, cfg: &SearchConfig) -> Engine<'_> {
-        Engine::new(self, objective, cfg.clone())
+    ///
+    /// The engine builds no relaxation: with `cfg.lower_bound` and an
+    /// objective it prunes with the borrowed `relax` (build it once with
+    /// [`Relaxation::build`] and lend it to every engine of the solve —
+    /// a warm attempt and its cold fallback alike); with `relax = None`
+    /// it searches unbounded.
+    pub fn engine<'a>(
+        &'a self,
+        objective: Option<VarId>,
+        cfg: &SearchConfig,
+        relax: Option<&'a Relaxation>,
+    ) -> Engine<'a> {
+        Engine::new(self, objective, cfg.clone(), relax)
     }
 
     /// Posts `x − y ≥ c`.
@@ -341,6 +353,8 @@ impl Model {
     /// [`crate::portfolio`] module docs — same bits at any thread
     /// count). [`SearchStats::portfolio_winner`] carries the winning
     /// config index; the remaining stats are summed across all engines.
+    /// The bounded members (`lower_bound`) share the borrowed `relax`,
+    /// as [`Model::engine`] does.
     ///
     /// [`SearchStats::portfolio_winner`]: crate::SearchStats::portfolio_winner
     ///
@@ -352,13 +366,16 @@ impl Model {
         &self,
         objective: VarId,
         configs: &[SearchConfig],
+        relax: Option<&Relaxation>,
         policy: netdag_runtime::ExecPolicy,
     ) -> Result<SearchOutcome, SolverError> {
         self.check_var(objective)?;
         if configs.is_empty() {
             return Err(SolverError::EmptyPortfolio);
         }
-        Ok(crate::portfolio::race(self, objective, configs, policy))
+        Ok(crate::portfolio::race(
+            self, objective, configs, relax, policy,
+        ))
     }
 }
 

@@ -23,6 +23,7 @@ use netdag_runtime::{for_each_indexed_mut, ExecPolicy};
 
 use crate::domain::VarId;
 use crate::model::Model;
+use crate::relax::Relaxation;
 use crate::search::{publish_stats, Engine, SearchConfig, SearchOutcome, SearchStats};
 
 /// Nodes each engine explores per epoch. Smaller values share bounds
@@ -30,12 +31,14 @@ use crate::search::{publish_stats, Engine, SearchConfig, SearchOutcome, SearchSt
 /// time only, never results.
 const EPOCH_NODE_BUDGET: u64 = 2048;
 
-/// Races `configs` on `model`, minimizing `objective`. See the module
-/// docs for the determinism argument.
+/// Races `configs` on `model`, minimizing `objective`. The bounded
+/// members share `relax` read-only. See the module docs for the
+/// determinism argument.
 pub(crate) fn race(
     model: &Model,
     objective: VarId,
     configs: &[SearchConfig],
+    relax: Option<&Relaxation>,
     policy: ExecPolicy,
 ) -> SearchOutcome {
     debug_assert!(!configs.is_empty(), "caller validates");
@@ -50,7 +53,7 @@ pub(crate) fn race(
     );
     let mut engines: Vec<Engine<'_>> = configs
         .iter()
-        .map(|cfg| Engine::new(model, Some(objective), cfg.clone()))
+        .map(|cfg| Engine::new(model, Some(objective), cfg.clone(), relax))
         .collect();
     let shared = AtomicI64::new(i64::MAX);
     loop {
@@ -89,16 +92,7 @@ pub(crate) fn race(
     let mut loser_nodes = 0u64;
     for (i, engine) in engines.iter().enumerate() {
         let s = engine.stats();
-        stats.nodes += s.nodes;
-        stats.decisions += s.decisions;
-        stats.backtracks += s.backtracks;
-        stats.propagations += s.propagations;
-        stats.prunings += s.prunings;
-        stats.solutions += s.solutions;
-        stats.restarts += s.restarts;
-        stats.lb_prunes += s.lb_prunes;
-        stats.presolve_shaved += s.presolve_shaved;
-        stats.trail_len_max = stats.trail_len_max.max(s.trail_len_max);
+        stats.add_effort(s);
         stats.proven_optimal |= s.proven_optimal;
         if winner.map(|(w, _)| w) != Some(i) {
             loser_nodes += s.nodes;
@@ -169,7 +163,7 @@ mod tests {
         let outcomes: Vec<SearchOutcome> = [1usize, 2, 8]
             .iter()
             .map(|&t| {
-                m.minimize_portfolio(mk, &configs, ExecPolicy::from_threads(t))
+                m.minimize_portfolio(mk, &configs, None, ExecPolicy::from_threads(t))
                     .unwrap()
             })
             .collect();
@@ -188,7 +182,7 @@ mod tests {
         let (m, mk) = tight_scheduling_model();
         let single = m.minimize(mk, &SearchConfig::default()).unwrap().unwrap();
         let raced = m
-            .minimize_portfolio(mk, &portfolio_configs(3, None), ExecPolicy::Serial)
+            .minimize_portfolio(mk, &portfolio_configs(3, None), None, ExecPolicy::Serial)
             .unwrap();
         assert_eq!(raced.best.unwrap().value(mk), single.value(mk));
     }
@@ -200,7 +194,7 @@ mod tests {
         let obj = m.new_var("obj", 0, 10).unwrap();
         m.linear_ge(&[(1, x)], 7).unwrap();
         let out = m
-            .minimize_portfolio(obj, &portfolio_configs(2, None), ExecPolicy::Serial)
+            .minimize_portfolio(obj, &portfolio_configs(2, None), None, ExecPolicy::Serial)
             .unwrap();
         assert!(out.best.is_none());
         assert!(out.stats.proven_optimal);
@@ -213,7 +207,7 @@ mod tests {
         let cfg = SearchConfig::default();
         let solo = m.minimize_with_stats(mk, &cfg).unwrap();
         let race = m
-            .minimize_portfolio(mk, std::slice::from_ref(&cfg), ExecPolicy::Serial)
+            .minimize_portfolio(mk, std::slice::from_ref(&cfg), None, ExecPolicy::Serial)
             .unwrap();
         assert_eq!(race.best, solo.best);
         assert_eq!(race.stats.nodes, solo.stats.nodes);

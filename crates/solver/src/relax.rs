@@ -91,8 +91,9 @@ pub struct PresolveWitness {
 }
 
 /// The closed difference-bound matrix of a model's difference-constraint
-/// subsystem. Build once per search (or once per presolve) with
-/// [`Relaxation::build`]; all queries are read-only and cheap.
+/// subsystem. Build once per solve with [`Relaxation::build`] and lend
+/// it to every engine of that solve; all queries are read-only and
+/// cheap.
 pub struct Relaxation {
     /// Matrix dimension: one slot per variable plus the zero node at
     /// index 0 (variable `v` lives at `v.index() + 1`).
@@ -117,7 +118,10 @@ pub struct Relaxation {
 impl Relaxation {
     /// Extracts the difference subsystem of `model` (root domain bounds,
     /// plus every edge the propagators contribute via
-    /// [`difference_edges`]) and closes it with Floyd–Warshall.
+    /// [`difference_edges`]) and closes it with Floyd–Warshall. Every
+    /// build adds its [`tightenings`](Self::tightenings) to the
+    /// `solver.lb.tightenings` counter, so the counter tracks closures
+    /// actually computed.
     ///
     /// [`difference_edges`]: crate::propagator::Propagator::difference_edges
     pub fn build(model: &Model, objective: Option<VarId>) -> Self {
@@ -158,6 +162,7 @@ impl Relaxation {
             }
         }
         relax.close();
+        netdag_obs::counter!(netdag_obs::keys::SOLVER_LB_TIGHTENINGS).add(relax.tightenings);
         relax.witness = relax.find_witness();
         relax
     }

@@ -34,6 +34,7 @@ use std::collections::VecDeque;
 
 use crate::domain::{DomainStore, VarId};
 use crate::model::Model;
+use crate::relax::Relaxation;
 
 /// Order in which unfixed variables are selected for branching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,7 +115,10 @@ pub struct SearchConfig {
     /// preserving*: a pruned child is one the unbounded engine opens
     /// only to kill in propagation, so both engines record the same
     /// incumbent sequence (see `tests/lower_bound.rs`). Only affects
-    /// minimization (ignored without an objective).
+    /// minimization (ignored without an objective). The `minimize*`
+    /// entry points close the relaxation themselves; an engine from
+    /// [`Model::engine`] or [`Model::minimize_portfolio`] borrows its
+    /// caller's and searches unbounded without one.
     pub lower_bound: bool,
 }
 
@@ -321,6 +325,25 @@ pub struct SearchStats {
     pub proven_optimal: bool,
 }
 
+impl SearchStats {
+    /// Adds `other`'s effort into `self`: every counter is summed and
+    /// `trail_len_max` takes the maximum. `proven_optimal`,
+    /// `portfolio_winner` and `mode_objectives` describe one search's
+    /// result, not its effort, and are left to the caller.
+    pub fn add_effort(&mut self, other: &SearchStats) {
+        self.nodes += other.nodes;
+        self.decisions += other.decisions;
+        self.backtracks += other.backtracks;
+        self.propagations += other.propagations;
+        self.prunings += other.prunings;
+        self.solutions += other.solutions;
+        self.restarts += other.restarts;
+        self.lb_prunes += other.lb_prunes;
+        self.presolve_shaved += other.presolve_shaved;
+        self.trail_len_max = self.trail_len_max.max(other.trail_len_max);
+    }
+}
+
 /// Result of a search: best solution (if any) and statistics.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
@@ -404,8 +427,9 @@ pub struct Engine<'a> {
     /// Current restart cutoff in failures (`u64::MAX` = never).
     cutoff: u64,
     /// Root DBM closure for lower-bound pruning and CPM presolve
-    /// ([`SearchConfig::lower_bound`], minimization only).
-    relax: Option<crate::relax::Relaxation>,
+    /// ([`SearchConfig::lower_bound`], minimization only), lent by the
+    /// caller so one closure serves every engine of a solve.
+    relax: Option<&'a Relaxation>,
     /// Whether the root shave has been counted into
     /// [`SearchStats::presolve_shaved`] (restarts re-shave but the
     /// tightenings are the same trail entries rewound, not new work).
@@ -414,7 +438,15 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(model: &'a Model, objective: Option<VarId>, cfg: SearchConfig) -> Self {
+    /// An engine over `model`. `relax` is used only when
+    /// `cfg.lower_bound` is set and there is an objective; the engine
+    /// never closes the relaxation itself.
+    pub(crate) fn new(
+        model: &'a Model,
+        objective: Option<VarId>,
+        cfg: SearchConfig,
+        relax: Option<&'a Relaxation>,
+    ) -> Self {
         let nvars = model.bounds.len();
         let mut watches: Vec<Vec<u32>> = vec![Vec::new(); nvars];
         for (pi, p) in model.props.iter().enumerate() {
@@ -429,11 +461,7 @@ impl<'a> Engine<'a> {
             Some(r) => r.scale.max(1).saturating_mul(luby(1)),
             None => u64::MAX,
         };
-        let relax = (cfg.lower_bound && objective.is_some()).then(|| {
-            let relax = crate::relax::Relaxation::build(model, objective);
-            netdag_obs::counter!(netdag_obs::keys::SOLVER_LB_TIGHTENINGS).add(relax.tightenings());
-            relax
-        });
+        let relax = relax.filter(|_| cfg.lower_bound && objective.is_some());
         Engine {
             model,
             objective,
@@ -561,7 +589,7 @@ impl<'a> Engine<'a> {
                     // the unbounded engine would open this node only to
                     // have propagation wipe it out. Skip it *before* it
                     // counts as a node.
-                    if let (Some(relax), bound) = (self.relax.as_ref(), self.incumbent()) {
+                    if let (Some(relax), bound) = (self.relax, self.incumbent()) {
                         if bound < i64::MAX {
                             let lb = relax.node_lower_bound(&self.dom);
                             if lb >= bound {
@@ -628,7 +656,7 @@ impl<'a> Engine<'a> {
     /// would re-derive the same window anyway, so the shave trims
     /// propagation work without changing the tree.
     fn open_root(&mut self) -> Result<(), Fail> {
-        if let Some(relax) = self.relax.as_ref() {
+        if let Some(relax) = self.relax {
             if relax.witness().is_some() {
                 return Err(Fail::Lb(i64::MAX));
             }
@@ -943,7 +971,8 @@ enum Descend {
     Finished,
 }
 
-/// Runs DFS (+ branch-and-bound when `objective` is set) to completion.
+/// Runs DFS (+ branch-and-bound when `objective` is set) to completion,
+/// closing the relaxation first when the configuration is bounded.
 pub(crate) fn run(model: &Model, objective: Option<VarId>, cfg: &SearchConfig) -> SearchOutcome {
     let _search = netdag_trace::span_with(
         "solver.search",
@@ -953,7 +982,9 @@ pub(crate) fn run(model: &Model, objective: Option<VarId>, cfg: &SearchConfig) -
             ("optimize", objective.is_some().into()),
         ],
     );
-    let mut engine = Engine::new(model, objective, cfg.clone());
+    let relax =
+        (cfg.lower_bound && objective.is_some()).then(|| Relaxation::build(model, objective));
+    let mut engine = Engine::new(model, objective, cfg.clone(), relax.as_ref());
     while !engine.step(u64::MAX) {}
     let outcome = engine.into_outcome();
     publish_stats(&outcome.stats);
@@ -1227,7 +1258,7 @@ mod tests {
         let full = m
             .minimize_with_stats(obj, &SearchConfig::default())
             .unwrap();
-        let mut engine = Engine::new(&m, Some(obj), SearchConfig::default());
+        let mut engine = Engine::new(&m, Some(obj), SearchConfig::default(), None);
         let mut steps = 0;
         while !engine.step(3) {
             steps += 1;
