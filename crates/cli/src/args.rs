@@ -4,6 +4,8 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use netdag_core::config::SchedulerConfig;
+
 /// Which network statistic the scheduler consumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StatChoice {
@@ -495,14 +497,15 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             })
         }
         "schedule" => {
+            let defaults = SchedulerConfig::default();
             let mut opts = ScheduleOpts {
                 app: PathBuf::new(),
                 soft: None,
                 weakly_hard: None,
                 modes: None,
                 greedy: false,
-                chi_max: 8,
-                beacon_chi: 2,
+                chi_max: defaults.chi_max,
+                beacon_chi: defaults.beacon_chi,
                 per_message_rounds: false,
                 include_beacons: false,
                 portfolio: 0,

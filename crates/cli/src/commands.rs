@@ -479,15 +479,14 @@ fn inspect(path: &Path) -> Result<Output, CliError> {
 }
 
 fn config_from(opts: &ScheduleOpts) -> SchedulerConfig {
+    let default = SchedulerConfig::default();
     SchedulerConfig {
         beacon_chi: opts.beacon_chi,
         chi_max: opts.chi_max,
         backend: if opts.greedy {
             Backend::Greedy
         } else {
-            Backend::Exact {
-                node_limit: Some(200_000),
-            }
+            default.backend
         },
         round_structure: if opts.per_message_rounds {
             RoundStructure::PerMessage
@@ -498,7 +497,7 @@ fn config_from(opts: &ScheduleOpts) -> SchedulerConfig {
         portfolio: opts.portfolio,
         solver_threads: opts.threads,
         lower_bound: !opts.no_lb,
-        ..SchedulerConfig::default()
+        ..default
     }
 }
 

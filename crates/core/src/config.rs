@@ -249,10 +249,15 @@ impl From<SolverError> for ScheduleError {
 impl SchedulerConfig {
     /// Validates the configuration.
     ///
+    /// `beacon_chi` may exceed `chi_max`. The statistics clamp every
+    /// `n_tx` to their own domain, so such a beacon's reliability is
+    /// read at the statistic's bound, while its airtime still uses
+    /// `beacon_chi`.
+    ///
     /// # Errors
     ///
     /// Returns [`ScheduleError::BadConfig`] when `chi_max` or `beacon_chi`
-    /// is zero, or `beacon_chi > chi_max`.
+    /// is zero.
     pub fn validate(&self) -> Result<(), ScheduleError> {
         if self.chi_max == 0 {
             return Err(ScheduleError::BadConfig("chi_max must be positive".into()));

@@ -71,15 +71,16 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use netdag_core::app::TaskId;
 use netdag_core::config::{Backend, RoundStructure, ScheduleError, SchedulerConfig};
 use netdag_core::constraints::{Deadlines, SoftConstraints, WeaklyHardConstraints};
 use netdag_core::control::SolveControl;
 use netdag_core::modes::schedule_modes_controlled;
 use netdag_core::soft::schedule_soft_controlled;
-use netdag_core::spec::ScheduleExport;
+use netdag_core::spec::{ScheduleExport, SpecError};
 use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_core::weakly_hard::schedule_weakly_hard_controlled;
 use netdag_obs::{counter, keys, Gauge, SloGate, SloInputs, SloReport, WindowedHist};
@@ -99,6 +100,23 @@ use crate::snapshot::{self, CacheSnapshot, SnapshotEntry};
 
 /// How often blocked threads re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(25);
+
+/// Locks `m`, taking the guard over even when a panicking holder
+/// poisoned it, so one failed request cannot turn every later lock of
+/// the daemon into a panic. Sound because each guarded update (a queue
+/// push or pop, a cache insert, one access-log line, a baseline swap)
+/// is one call that leaves its structure valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The daemon's one error exit: answers `reason` as an `error` and
+/// counts it under `serve.errors`. Every handler reports a refusal as
+/// `Err(reason)` and ends here.
+fn error_response(id: Option<u64>, reason: &str) -> Response {
+    counter!(keys::SERVE_ERRORS).incr();
+    Response::error(id, reason)
+}
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -484,7 +502,7 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
         });
     });
     if let Some(log) = shared.access.as_ref() {
-        let _ = log.lock().expect("access log lock").flush();
+        let _ = lock(log).flush();
     }
     // Persist the drained fleet's caches. A write failure is reported
     // but does not fail the daemon: every accepted request was already
@@ -545,7 +563,7 @@ fn restore_snapshot(shared: &Shared, snap: CacheSnapshot) {
         if entries.len() > cap {
             entries.drain(..entries.len() - cap);
         }
-        let mut cache = shard.cache.lock().expect("cache lock");
+        let mut cache = lock(&shard.cache);
         let mut restored = 0u64;
         for entry in entries {
             if cache.restore(entry) {
@@ -567,8 +585,7 @@ fn restore_snapshot(shared: &Shared, snap: CacheSnapshot) {
 fn collect_snapshot(shared: &Shared) -> CacheSnapshot {
     let mut snap = CacheSnapshot::new();
     for shard in &shared.shards {
-        snap.entries
-            .extend(shard.cache.lock().expect("cache lock").export_entries());
+        snap.entries.extend(lock(&shard.cache).export_entries());
     }
     snap
 }
@@ -593,7 +610,7 @@ fn aggregate_stats(shared: &Shared) -> CacheStatsBody {
         shards: Vec::with_capacity(shared.shards.len()),
     };
     for (i, shard) in shared.shards.iter().enumerate() {
-        let s = shard.cache.lock().expect("cache lock").stats();
+        let s = lock(&shard.cache).stats();
         let restored = shard.restored.load(Ordering::Relaxed);
         body.entries += s.entries;
         body.hits += s.hits;
@@ -602,7 +619,7 @@ fn aggregate_stats(shared: &Shared) -> CacheStatsBody {
         body.evictions += s.evictions;
         body.mode_entries += s.mode_entries;
         body.restored += restored;
-        body.queued += shard.queue.lock().expect("queue lock").len() as u64;
+        body.queued += lock(&shard.queue).len() as u64;
         body.shards.push(ShardCacheStats {
             shard: i as u64,
             entries: s.entries,
@@ -688,8 +705,7 @@ fn process_line(shared: &Shared, line: &str) -> Response {
         Err(e) => {
             shared.requests.fetch_add(1, Ordering::Relaxed);
             counter!(keys::SERVE_REQUESTS).incr();
-            counter!(keys::SERVE_ERRORS).incr();
-            return Response::error(None, &format!("bad request: {e}"));
+            return error_response(None, &format!("bad request: {e}"));
         }
     };
     match req.op.as_str() {
@@ -699,16 +715,17 @@ fn process_line(shared: &Shared, line: &str) -> Response {
     }
     shared.requests.fetch_add(1, Ordering::Relaxed);
     counter!(keys::SERVE_REQUESTS).incr();
-    match req.op.as_str() {
+    let id = req.id;
+    let answer = match req.op.as_str() {
         "cache_stats" => {
-            let mut resp = Response::status(req.id, STATUS_OK);
+            let mut resp = Response::status(id, STATUS_OK);
             resp.cache = Some(aggregate_stats(shared));
-            resp
+            Ok(resp)
         }
         "shutdown" => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.wake_all();
-            Response::status(req.id, STATUS_OK)
+            Ok(Response::status(id, STATUS_OK))
         }
         "solve" | "mode_solve" | "validate" => {
             // The fingerprint is computed here both to route the
@@ -717,36 +734,32 @@ fn process_line(shared: &Shared, line: &str) -> Response {
             // the shard count) and to spare the worker re-hashing it.
             let fp = request_fingerprint(&req);
             let shard = fp.map_or(0, |fp| shared.ring.route(fp.structural));
-            let id = req.id;
             let work = Work::Single {
                 req: Box::new(req),
                 fp,
             };
-            match submit(shared, id, vec![(shard, work)]) {
+            Ok(match submit(shared, id, vec![(shard, work)]) {
                 // One group, one reply.
                 Ok(mut replies) => replies.swap_remove(0),
                 Err(reason) => Response::rejected(id, reason),
-            }
+            })
         }
         "batch_solve" => handle_batch(shared, req),
-        other => {
-            counter!(keys::SERVE_ERRORS).incr();
-            Response::error(req.id, &format!("unknown op {other:?}"))
-        }
-    }
+        other => Err(format!("unknown op {other:?}")),
+    };
+    answer.unwrap_or_else(|reason| error_response(id, &reason))
 }
 
 /// Fingerprints a solve/validate request when it carries an
 /// application spec, and a `mode_solve` request when it carries a mode
 /// set. Computed on the connection thread so the same hash both routes
 /// the request onto its owning shard and reaches the worker as a
-/// pre-paid [`Work::Single::fp`].
+/// pre-paid [`Work::Single::fp`]. A request whose config is refused
+/// gets no fingerprint; its worker reports the refusal.
 fn request_fingerprint(req: &Request) -> Option<Fingerprint> {
+    let cfg = config_from(req).ok()?;
     if req.op == "mode_solve" {
-        return req
-            .modes
-            .as_ref()
-            .map(|m| mode_fingerprint(m, &config_from(req)));
+        return req.modes.as_ref().map(|m| mode_fingerprint(m, &cfg));
     }
     req.app.as_ref().map(|app| {
         fingerprint(
@@ -754,7 +767,7 @@ fn request_fingerprint(req: &Request) -> Option<Fingerprint> {
             req.soft.as_ref(),
             req.weakly_hard.as_ref(),
             &normalized_stat(req),
-            &config_from(req),
+            &cfg,
         )
     })
 }
@@ -792,8 +805,8 @@ fn handle_health(shared: &Shared, req: &Request) -> Response {
     let mut cache_entries = 0;
     let mut queue_depth = 0;
     for shard in &shared.shards {
-        cache_entries += shard.cache.lock().expect("cache lock").stats().entries;
-        queue_depth += shard.queue.lock().expect("queue lock").len() as u64;
+        cache_entries += lock(&shard.cache).stats().entries;
+        queue_depth += lock(&shard.queue).len() as u64;
     }
     let uptime_ms = shared
         .started
@@ -838,7 +851,7 @@ fn submit(
 ) -> Result<Vec<Response>, &'static str> {
     let mut queues: Vec<_> = groups
         .iter()
-        .map(|&(s, _)| shared.shards[s].queue.lock().expect("queue lock"))
+        .map(|&(s, _)| lock(&shared.shards[s].queue))
         .collect();
     let reason = if !queues.is_empty() && shared.shutdown.load(Ordering::SeqCst) {
         Some(REASON_SHUTTING_DOWN)
@@ -875,8 +888,7 @@ fn submit(
         .into_iter()
         .map(|(_, rid, answer)| {
             answer.recv().unwrap_or_else(|_| {
-                counter!(keys::SERVE_ERRORS).incr();
-                Response::error(
+                error_response(
                     id,
                     &format!("request rid {rid} lost: its worker exited without answering"),
                 )
@@ -888,13 +900,14 @@ fn submit(
 /// Answers a `batch_solve` request: every item is fingerprinted, the
 /// items are grouped by owning shard and admitted through [`submit`],
 /// and the per-item responses are gathered back into one envelope in
-/// request order.
-fn handle_batch(shared: &Shared, req: Request) -> Response {
+/// request order. The envelope's config is checked once, up front.
+fn handle_batch(shared: &Shared, req: Request) -> Result<Response, String> {
     let id = req.id;
-    let Some(items) = req.batch.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(id, "batch_solve needs a \"batch\" array");
-    };
+    let items = req
+        .batch
+        .as_ref()
+        .ok_or("batch_solve needs a \"batch\" array")?;
+    config_from(&req)?;
     counter!(keys::SERVE_BATCH_REQUESTS).incr();
     counter!(keys::SERVE_BATCH_ITEMS).add(items.len() as u64);
     let mut answers: Vec<Option<Response>> = (0..items.len()).map(|_| None).collect();
@@ -914,8 +927,7 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
         sub.weakly_hard = item.weakly_hard.clone();
         sub.stat = item.stat.clone();
         let Some(fp) = request_fingerprint(&sub) else {
-            counter!(keys::SERVE_ERRORS).incr();
-            answers[i] = Some(Response::error(id, "batch item needs an \"app\" spec"));
+            answers[i] = Some(error_response(id, "batch item needs an \"app\" spec"));
             continue;
         };
         groups
@@ -933,7 +945,7 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
         .unzip();
     let replies = match submit(shared, id, work) {
         Ok(replies) => replies,
-        Err(reason) => return Response::rejected(id, reason),
+        Err(reason) => return Ok(Response::rejected(id, reason)),
     };
     // Gather: each shard's worker answers its sub-batch with an
     // envelope whose `batch` field holds the group's responses in
@@ -951,7 +963,7 @@ fn handle_batch(shared: &Shared, req: Request) -> Response {
             .map(|a| a.unwrap_or_else(|| Response::error(id, "batch item lost")))
             .collect(),
     );
-    resp
+    Ok(resp)
 }
 
 /// Keeps the daemon's live-worker count and the `serve.workers_live`
@@ -972,7 +984,7 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
     let _live = LiveWorker(shared);
     loop {
         let job = {
-            let mut queue = shard.queue.lock().expect("queue lock");
+            let mut queue = lock(&shard.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
                     shared.gauges.queue_depth.set(queue.len() as u64);
@@ -981,7 +993,11 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                queue = shard.ready.wait_timeout(queue, POLL).expect("queue lock").0;
+                queue = shard
+                    .ready
+                    .wait_timeout(queue, POLL)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
             }
         };
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
@@ -1006,11 +1022,14 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
                 (hook.0)(job.work.op(), job.work.id());
             }
             match &job.work {
-                Work::Single { req, fp } => match req.op.as_str() {
-                    "solve" => handle_solve(shared, shard, req, *fp),
-                    "mode_solve" => handle_mode_solve(shared, shard, req, *fp),
-                    _ => (handle_validate(req), 0),
-                },
+                Work::Single { req, fp } => {
+                    let answer = match req.op.as_str() {
+                        "solve" => handle_solve(shared, shard, req, *fp),
+                        "mode_solve" => handle_mode_solve(shared, shard, req, *fp),
+                        _ => handle_validate(req).map(|resp| (resp, 0)),
+                    };
+                    answer.unwrap_or_else(|reason| (error_response(req.id, &reason), 0))
+                }
                 // A sub-batch runs sequentially on its owning shard's
                 // worker: items that share a structural family hit or
                 // warm-start against each other within the same batch,
@@ -1020,7 +1039,8 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
                     let mut subs = Vec::with_capacity(items.len());
                     let mut total_nodes = 0u64;
                     for (sub, fp) in items {
-                        let (r, n) = handle_solve(shared, shard, sub, Some(*fp));
+                        let (r, n) = handle_solve(shared, shard, sub, Some(*fp))
+                            .unwrap_or_else(|reason| (error_response(sub.id, &reason), 0));
                         total_nodes += n;
                         subs.push(r);
                     }
@@ -1106,7 +1126,7 @@ fn write_access_line(
         ("service_us".to_owned(), Value::UInt(service_us)),
     ]);
     if let Ok(text) = serde_json::to_string(&line) {
-        let mut w = log.lock().expect("access log lock");
+        let mut w = lock(log);
         // Flushed per line so tail -f / test readers see complete
         // records as soon as the response is delivered. A failure in
         // either step means this line did not (fully) reach the disk.
@@ -1125,7 +1145,7 @@ fn write_interval_snapshot(shared: &Shared) {
         return;
     };
     let delta = {
-        let mut base = shared.snap_base.lock().expect("snapshot baseline lock");
+        let mut base = lock(&shared.snap_base);
         let now = netdag_obs::global().snapshot();
         let delta = now.delta(&base);
         *base = now;
@@ -1139,34 +1159,61 @@ fn write_interval_snapshot(shared: &Shared) {
     }
 }
 
+/// Largest `chi_max` a request may ask for. It sizes per-message
+/// `1..=chi_max` tables, so an unbounded value could abort the daemon
+/// with a failed allocation; the workloads use 6 to 8.
+const MAX_CHI_MAX: u32 = 64;
+/// Largest `portfolio` a request may ask for: the number of distinct
+/// [`netdag_solver::portfolio_configs`] members. From index 18 on,
+/// member `i` repeats member `i - 12`, so a wider race only adds
+/// duplicate engines.
+const MAX_PORTFOLIO: u32 = 18;
+
 /// Maps a request's optional [`crate::protocol::ConfigSpec`] to a
-/// [`SchedulerConfig`] with exactly the CLI's `netdag schedule`
-/// defaults, so an unconfigured request solves the same problem the
-/// unconfigured CLI does.
-fn config_from(req: &Request) -> SchedulerConfig {
-    let spec = req.config.as_ref();
-    let greedy = spec.and_then(|c| c.greedy).unwrap_or(false);
-    SchedulerConfig {
-        beacon_chi: spec.and_then(|c| c.beacon_chi).unwrap_or(2),
-        chi_max: spec.and_then(|c| c.chi_max).unwrap_or(8),
-        backend: if greedy {
-            Backend::Greedy
-        } else {
-            Backend::Exact {
-                node_limit: Some(spec.and_then(|c| c.node_limit).unwrap_or(200_000)),
-            }
+/// [`SchedulerConfig`] whose unset fields keep the defaults of
+/// [`SchedulerConfig::default`], as the CLI's `netdag schedule` does,
+/// so an unconfigured request solves the same problem the unconfigured
+/// CLI does. Refuses a `chi_max` or `portfolio` over its cap, naming
+/// the field, and clamps `threads` to the core count.
+fn config_from(req: &Request) -> Result<SchedulerConfig, String> {
+    let spec = req.config.clone().unwrap_or_default();
+    let default = SchedulerConfig::default();
+    let chi_max = spec.chi_max.unwrap_or(default.chi_max);
+    if chi_max > MAX_CHI_MAX {
+        return Err(format!("config needs \"chi_max\" <= {MAX_CHI_MAX}"));
+    }
+    let portfolio = spec.portfolio.unwrap_or(default.portfolio);
+    if portfolio > MAX_PORTFOLIO {
+        return Err(format!("config needs \"portfolio\" <= {MAX_PORTFOLIO}"));
+    }
+    Ok(SchedulerConfig {
+        beacon_chi: spec.beacon_chi.unwrap_or(default.beacon_chi),
+        chi_max,
+        backend: match (spec.greedy, spec.node_limit) {
+            (Some(true), _) => Backend::Greedy,
+            (_, Some(n)) => Backend::Exact {
+                node_limit: Some(n),
+            },
+            _ => default.backend,
         },
-        round_structure: if spec.and_then(|c| c.per_message_rounds).unwrap_or(false) {
+        round_structure: if spec.per_message_rounds.unwrap_or(false) {
             RoundStructure::PerMessage
         } else {
             RoundStructure::PerLevel
         },
-        include_beacons: spec.and_then(|c| c.include_beacons).unwrap_or(false),
-        portfolio: spec.and_then(|c| c.portfolio).unwrap_or(0),
-        solver_threads: spec.and_then(|c| c.threads).unwrap_or(0) as usize,
-        lower_bound: !spec.and_then(|c| c.no_lb).unwrap_or(false),
-        ..SchedulerConfig::default()
-    }
+        include_beacons: spec.include_beacons.unwrap_or(default.include_beacons),
+        portfolio,
+        // Results never depend on the thread count (0 still means
+        // auto), so the clamp only stops a client from spawning
+        // unbounded threads.
+        solver_threads: spec.threads.map_or(default.solver_threads, |t| {
+            usize::try_from(t)
+                .unwrap_or(usize::MAX)
+                .min(ExecPolicy::Auto.thread_count())
+        }),
+        lower_bound: spec.no_lb.map_or(default.lower_bound, |no_lb| !no_lb),
+        ..default
+    })
 }
 
 /// The request's statistic, normalized so the fingerprint of a
@@ -1178,51 +1225,83 @@ fn normalized_stat(req: &Request) -> StatSpec {
     })
 }
 
+fn invalid_spec(e: SpecError) -> String {
+    format!("invalid spec: {e}")
+}
+
+/// A request's constraints built against its application's task names:
+/// the soft ones with their eq. (15) `fss`, and the weakly hard ones.
+type Constraints = (
+    Option<(SoftConstraints, f64)>,
+    Option<WeaklyHardConstraints>,
+);
+
+/// Builds `req`'s constraints under the statistic-family rule that
+/// `solve` and `validate` share: soft constraints need eq. (15) with
+/// its `fss`, and without them the statistic must be eq. (13). `doing`
+/// ("solving" or "validation") words the refusal.
+fn constraints(
+    req: &Request,
+    names: &[(String, TaskId)],
+    doing: &str,
+) -> Result<Constraints, String> {
+    let stat = normalized_stat(req);
+    let soft = match req.soft.as_ref() {
+        Some(spec) => {
+            let fss = stat.fss.filter(|_| stat.kind == "eq15").ok_or_else(|| {
+                format!("soft {doing} needs \"stat\": {{\"kind\": \"eq15\", \"fss\": …}}")
+            })?;
+            Some((spec.build(names).map_err(invalid_spec)?, fss))
+        }
+        None if stat.kind != "eq13" => {
+            return Err(format!(
+                "weakly hard {doing} needs \"stat\": {{\"kind\": \"eq13\"}}"
+            ))
+        }
+        None => None,
+    };
+    let weakly_hard = req
+        .weakly_hard
+        .as_ref()
+        .map(|spec| spec.build(names))
+        .transpose()
+        .map_err(invalid_spec)?;
+    Ok((soft, weakly_hard))
+}
+
 /// Answers a `solve` request against its owning shard's cache. The
 /// second tuple element is the number of search nodes the solve
-/// explored (zero for cache hits and error paths), taken from the
-/// solve's own [`netdag_solver::SearchStats`] so it is exact per
-/// request even with concurrent workers. `fp_hint` is the fingerprint
-/// the connection thread already computed for routing, so the worker
-/// does not re-hash the spec.
+/// explored (zero for cache hits), taken from the solve's own
+/// [`netdag_solver::SearchStats`] so it is exact per request even with
+/// concurrent workers. `fp_hint` is the fingerprint the connection
+/// thread already computed for routing, so the worker does not re-hash
+/// the spec.
 fn handle_solve(
     shared: &Shared,
     shard: &ShardState,
     req: &Request,
     fp_hint: Option<Fingerprint>,
-) -> (Response, u64) {
+) -> Result<(Response, u64), String> {
     let id = req.id;
-    let Some(app_spec) = req.app.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return (Response::error(id, "solve needs an \"app\" spec"), 0);
-    };
+    let app_spec = req.app.as_ref().ok_or("solve needs an \"app\" spec")?;
     if req.soft.is_some() && req.weakly_hard.is_some() {
-        counter!(keys::SERVE_ERRORS).incr();
-        return (
-            Response::error(id, "\"soft\" and \"weakly_hard\" are mutually exclusive"),
-            0,
-        );
+        return Err("\"soft\" and \"weakly_hard\" are mutually exclusive".into());
     }
-    let (app, names) = match app_spec.build() {
-        Ok(pair) => pair,
-        Err(e) => {
-            counter!(keys::SERVE_ERRORS).incr();
-            return (Response::error(id, &format!("invalid spec: {e}")), 0);
-        }
-    };
-    let cfg = config_from(req);
-    let stat = normalized_stat(req);
+    let (app, names) = app_spec.build().map_err(invalid_spec)?;
+    let cfg = config_from(req)?;
     let fp = fp_hint.unwrap_or_else(|| {
         fingerprint(
             app_spec,
             req.soft.as_ref(),
             req.weakly_hard.as_ref(),
-            &stat,
+            &normalized_stat(req),
             &cfg,
         )
     });
     let warm_bound = match probe(shard, &fp) {
-        Lookup::Exact(answer) => return (answer_response(id, &fp, answer, true, true, false), 0),
+        Lookup::Exact(answer) => {
+            return Ok((answer_response(id, &fp, answer, true, true, false), 0))
+        }
         // `+ 1` because the injected bound is strict-improvement: it
         // keeps every schedule with makespan ≤ the cached one
         // reachable, so the warm solve's answer is bit-identical to the
@@ -1231,53 +1310,9 @@ fn handle_solve(
         Lookup::Miss => None,
     };
 
-    let problem = if let Some(soft) = req.soft.as_ref() {
-        let Some(fss) = req
-            .stat
-            .as_ref()
-            .and_then(|s| s.fss)
-            .filter(|_| stat.kind == "eq15")
-        else {
-            counter!(keys::SERVE_ERRORS).incr();
-            return (
-                Response::error(
-                    id,
-                    "soft solving needs \"stat\": {\"kind\": \"eq15\", \"fss\": …}",
-                ),
-                0,
-            );
-        };
-        match soft.build(&names) {
-            Ok(f) => Problem::Soft(f, fss),
-            Err(e) => {
-                counter!(keys::SERVE_ERRORS).incr();
-                return (Response::error(id, &format!("invalid spec: {e}")), 0);
-            }
-        }
-    } else {
-        if stat.kind != "eq13" {
-            counter!(keys::SERVE_ERRORS).incr();
-            return (
-                Response::error(
-                    id,
-                    "weakly hard solving needs \"stat\": {\"kind\": \"eq13\"}",
-                ),
-                0,
-            );
-        }
-        match req.weakly_hard.as_ref() {
-            Some(spec) => match spec.build(&names) {
-                Ok(f) => Problem::WeaklyHard(f),
-                Err(e) => {
-                    counter!(keys::SERVE_ERRORS).incr();
-                    return (Response::error(id, &format!("invalid spec: {e}")), 0);
-                }
-            },
-            None => Problem::WeaklyHard(WeaklyHardConstraints::new()),
-        }
-    };
-    let solved = under_deadline(shared, req, warm_bound, |control| match &problem {
-        Problem::Soft(f, fss) => schedule_soft_controlled(
+    let (soft, weakly_hard) = constraints(req, &names, "solving")?;
+    let solved = under_deadline(shared, req, warm_bound, |control| match &soft {
+        Some((f, fss)) => schedule_soft_controlled(
             &app,
             &Eq15Statistic::new(*fss, cfg.chi_max),
             f,
@@ -1285,10 +1320,10 @@ fn handle_solve(
             &cfg,
             control,
         ),
-        Problem::WeaklyHard(f) => schedule_weakly_hard_controlled(
+        None => schedule_weakly_hard_controlled(
             &app,
             &Eq13Statistic::new(cfg.chi_max),
-            f,
+            &weakly_hard.unwrap_or_default(),
             &Deadlines::new(),
             &cfg,
             control,
@@ -1308,25 +1343,17 @@ fn handle_solve(
             keep_answer(shared, shard, fp, &answer, makespan, controlled.complete);
             let warm_started = warm_bound.is_some();
             let resp = answer_response(id, &fp, answer, controlled.complete, false, warm_started);
-            (resp, nodes)
+            Ok((resp, nodes))
         }
-        Err(e) => (
-            failure_response(
-                shared,
-                id,
-                &fp,
-                e,
-                "no χ assignment within chi-max meets the constraints",
-            ),
-            0,
-        ),
+        Err(e) => failure_response(
+            shared,
+            id,
+            &fp,
+            e,
+            "no χ assignment within chi-max meets the constraints",
+        )
+        .map(|resp| (resp, 0)),
     }
-}
-
-/// A validated `solve` problem, ready for the controlled solve.
-enum Problem {
-    Soft(SoftConstraints, f64),
-    WeaklyHard(WeaklyHardConstraints),
 }
 
 /// Runs `solve` under the request's controller: the optional warm
@@ -1372,7 +1399,7 @@ fn count_deadline_expired(shared: &Shared) {
 
 /// Probes `shard`'s cache for `fp` and counts the outcome.
 fn probe(shard: &ShardState, fp: &Fingerprint) -> Lookup {
-    let lookup = shard.cache.lock().expect("cache lock").lookup(fp);
+    let lookup = lock(&shard.cache).lookup(fp);
     match lookup {
         Lookup::Exact(_) => {
             counter!(keys::SERVE_CACHE_HITS).incr();
@@ -1394,15 +1421,11 @@ fn cache_answer(
     answer: Answer,
     makespan_us: u64,
 ) {
-    shard
-        .cache
-        .lock()
-        .expect("cache lock")
-        .insert(fp, answer, makespan_us);
+    lock(&shard.cache).insert(fp, answer, makespan_us);
     let total: u64 = shared
         .shards
         .iter()
-        .map(|s| s.cache.lock().expect("cache lock").stats().entries)
+        .map(|s| lock(&s.cache).stats().entries)
         .sum();
     shared.gauges.cache_entries.set(total);
 }
@@ -1435,15 +1458,17 @@ fn answer_response(
 }
 
 /// Maps a failed solve to its response; `infeasible` is the reason
-/// given when no `χ` assignment meets the constraints.
+/// given when no `χ` assignment meets the constraints. An expired
+/// deadline answers `error` but counts as an expired deadline; any
+/// other failure is an `Err` for the error exit.
 fn failure_response(
     shared: &Shared,
     id: Option<u64>,
     fp: &Fingerprint,
     err: ScheduleError,
     infeasible: &str,
-) -> Response {
-    match err {
+) -> Result<Response, String> {
+    Ok(match err {
         ScheduleError::Infeasible | ScheduleError::InfeasibleReliability(_) => {
             let mut resp = Response::status(id, STATUS_INFEASIBLE);
             resp.reason = Some(infeasible.to_owned());
@@ -1469,11 +1494,8 @@ fn failure_response(
             resp.fingerprint = Some(fp.hex());
             resp
         }
-        e => {
-            counter!(keys::SERVE_ERRORS).incr();
-            Response::error(id, &format!("scheduling failed: {e}"))
-        }
-    }
+        e => return Err(format!("scheduling failed: {e}")),
+    })
 }
 
 /// Solves a `mode_solve` request: probe the shard cache for a verbatim
@@ -1482,35 +1504,31 @@ fn failure_response(
 /// expires exactly as a `solve` deadline does. The answer is the same
 /// [`netdag_core::modes::ModeScheduleExport`] document `netdag schedule
 /// --modes --out` writes. The second tuple element is the joint solve's
-/// search-node count (zero for cache hits and error paths); `fp_hint`
-/// is the mode fingerprint the connection thread computed for routing.
+/// search-node count (zero for cache hits); `fp_hint` is the mode
+/// fingerprint the connection thread computed for routing.
 fn handle_mode_solve(
     shared: &Shared,
     shard: &ShardState,
     req: &Request,
     fp_hint: Option<Fingerprint>,
-) -> (Response, u64) {
+) -> Result<(Response, u64), String> {
     let id = req.id;
-    let Some(spec) = req.modes.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return (Response::error(id, "mode_solve needs a \"modes\" spec"), 0);
-    };
+    let spec = req
+        .modes
+        .as_ref()
+        .ok_or("mode_solve needs a \"modes\" spec")?;
     if req.app.is_some() || req.soft.is_some() || req.weakly_hard.is_some() {
-        counter!(keys::SERVE_ERRORS).incr();
-        return (
-            Response::error(
-                id,
-                "mode_solve embeds its application and constraints in \"modes\"; \
-                 \"app\"/\"soft\"/\"weakly_hard\" must be absent",
-            ),
-            0,
+        return Err(
+            "mode_solve embeds its application and constraints in \"modes\"; \
+             \"app\"/\"soft\"/\"weakly_hard\" must be absent"
+                .into(),
         );
     }
-    let cfg = config_from(req);
+    let cfg = config_from(req)?;
     let fp = fp_hint.unwrap_or_else(|| mode_fingerprint(spec, &cfg));
     // Mode answers are exact-only: the cache offers them no warm tier.
     if let Lookup::Exact(answer) = probe(shard, &fp) {
-        return (answer_response(id, &fp, answer, true, true, false), 0);
+        return Ok((answer_response(id, &fp, answer, true, true, false), 0));
     }
     match under_deadline(shared, req, None, |control| {
         schedule_modes_controlled(spec, &cfg, control)
@@ -1518,21 +1536,19 @@ fn handle_mode_solve(
         Ok(outcome) => {
             let answer = Answer::Modes(outcome.export());
             keep_answer(shared, shard, fp, &answer, 0, outcome.complete);
-            (
+            Ok((
                 answer_response(id, &fp, answer, outcome.complete, false, false),
                 outcome.stats.nodes,
-            )
+            ))
         }
-        Err(e) => (
-            failure_response(
-                shared,
-                id,
-                &fp,
-                e,
-                "no χ assignment within chi-max meets every mode's constraints",
-            ),
-            0,
-        ),
+        Err(e) => failure_response(
+            shared,
+            id,
+            &fp,
+            e,
+            "no χ assignment within chi-max meets every mode's constraints",
+        )
+        .map(|resp| (resp, 0)),
     }
 }
 
@@ -1544,45 +1560,27 @@ const MAX_VALIDATE_KAPPA: u64 = 1_000_000;
 /// may ask for, for the same reason.
 const MAX_VALIDATE_TRIALS: u64 = 10_000;
 
-fn handle_validate(req: &Request) -> Response {
-    let id = req.id;
-    let Some(app_spec) = req.app.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(id, "validate needs an \"app\" spec");
-    };
-    let Some(export) = req.schedule.as_ref() else {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(id, "validate needs a \"schedule\" document");
-    };
+fn handle_validate(req: &Request) -> Result<Response, String> {
+    let app_spec = req.app.as_ref().ok_or("validate needs an \"app\" spec")?;
+    let export = req
+        .schedule
+        .as_ref()
+        .ok_or("validate needs a \"schedule\" document")?;
     if req.soft.is_none() && req.weakly_hard.is_none() {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(
-            id,
-            "validate needs \"soft\" and/or \"weakly_hard\" constraints",
-        );
+        return Err("validate needs \"soft\" and/or \"weakly_hard\" constraints".into());
     }
-    let (app, names) = match app_spec.build() {
-        Ok(pair) => pair,
-        Err(e) => {
-            counter!(keys::SERVE_ERRORS).incr();
-            return Response::error(id, &format!("invalid spec: {e}"));
-        }
-    };
+    let (app, names) = app_spec.build().map_err(invalid_spec)?;
     let kappa = req.kappa.unwrap_or(10_000);
     if kappa == 0 || kappa > MAX_VALIDATE_KAPPA {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(
-            id,
-            &format!("validate needs \"kappa\" in 1..={MAX_VALIDATE_KAPPA}"),
-        );
+        return Err(format!(
+            "validate needs \"kappa\" in 1..={MAX_VALIDATE_KAPPA}"
+        ));
     }
     let trials = req.trials.unwrap_or(50);
     if trials > MAX_VALIDATE_TRIALS {
-        counter!(keys::SERVE_ERRORS).incr();
-        return Response::error(
-            id,
-            &format!("validate needs \"trials\" <= {MAX_VALIDATE_TRIALS}"),
-        );
+        return Err(format!(
+            "validate needs \"trials\" <= {MAX_VALIDATE_TRIALS}"
+        ));
     }
     let (kappa, trials) = (kappa as usize, trials as usize);
     let seed = req.seed.unwrap_or(2020);
@@ -1591,28 +1589,13 @@ fn handle_validate(req: &Request) -> Response {
     // 0 still means auto.
     let threads = (req.threads.unwrap_or(1) as usize).min(ExecPolicy::Auto.thread_count());
     let policy = ExecPolicy::from_threads(threads);
-    let stat = normalized_stat(req);
+    let (soft, weakly_hard) = constraints(req, &names, "validation")?;
     let mut report = String::new();
     let mut passed = true;
-    if let Some(spec) = req.soft.as_ref() {
-        let Some(fss) = stat.fss.filter(|_| stat.kind == "eq15") else {
-            counter!(keys::SERVE_ERRORS).incr();
-            return Response::error(
-                id,
-                "soft validation needs \"stat\": {\"kind\": \"eq15\", \"fss\": …}",
-            );
-        };
-        let f = match spec.build(&names) {
-            Ok(f) => f,
-            Err(e) => {
-                counter!(keys::SERVE_ERRORS).incr();
-                return Response::error(id, &format!("invalid spec: {e}"));
-            }
-        };
-        let stat = Eq15Statistic::new(fss, 16);
+    if let Some((f, fss)) = soft {
         for r in validate_soft_par(
             &app,
-            &stat,
+            &Eq15Statistic::new(fss, 16),
             &f,
             &export.schedule,
             kappa,
@@ -1631,38 +1614,18 @@ fn handle_validate(req: &Request) -> Response {
             ));
         }
     }
-    if let Some(spec) = req.weakly_hard.as_ref() {
-        if req.soft.is_none() && stat.kind != "eq13" {
-            counter!(keys::SERVE_ERRORS).incr();
-            return Response::error(
-                id,
-                "weakly hard validation needs \"stat\": {\"kind\": \"eq13\"}",
-            );
-        }
-        let f = match spec.build(&names) {
-            Ok(f) => f,
-            Err(e) => {
-                counter!(keys::SERVE_ERRORS).incr();
-                return Response::error(id, &format!("invalid spec: {e}"));
-            }
-        };
-        let stat = Eq13Statistic::new(16);
-        let reports = match validate_weakly_hard_par(
+    if let Some(f) = weakly_hard {
+        let reports = validate_weakly_hard_par(
             &app,
-            &stat,
+            &Eq13Statistic::new(16),
             &f,
             &export.schedule,
             kappa.min(2_000),
             trials,
             seed,
             policy,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                counter!(keys::SERVE_ERRORS).incr();
-                return Response::error(id, &format!("adversarial synthesis failed: {e}"));
-            }
-        };
+        )
+        .map_err(|e| format!("adversarial synthesis failed: {e}"))?;
         for r in reports {
             passed &= r.passed;
             report.push_str(&format!(
@@ -1675,15 +1638,15 @@ fn handle_validate(req: &Request) -> Response {
             ));
         }
     }
-    let mut resp = Response::status(id, STATUS_OK);
+    let mut resp = Response::status(req.id, STATUS_OK);
     resp.validation = Some(ValidationReport { passed, report });
-    resp
+    Ok(resp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::STATUS_ERROR;
+    use crate::protocol::{ConfigSpec, STATUS_ERROR};
 
     /// A worker that unwinds out of a handler drops its job unanswered;
     /// the connection thread waiting in [`submit`] must then get a
@@ -1706,7 +1669,7 @@ mod tests {
         // Stand in for the shard's worker: dequeue the job the way
         // `worker_loop` does, then unwind while holding it.
         let shard = &shared.shards[0];
-        let mut queue = shard.queue.lock().expect("queue lock");
+        let mut queue = lock(&shard.queue);
         let job = loop {
             if let Some(job) = queue.pop_front() {
                 break job;
@@ -1728,5 +1691,105 @@ mod tests {
         assert_eq!(resp.id, Some(7));
         let reason = resp.reason.unwrap_or_default();
         assert!(reason.contains("rid 1"), "{reason}");
+    }
+
+    fn with_config(spec: ConfigSpec) -> Request {
+        let mut req = Request::op("solve");
+        req.config = Some(spec);
+        req
+    }
+
+    /// An unconfigured request solves with the scheduler's own
+    /// defaults.
+    #[test]
+    fn an_empty_config_is_the_default_config() {
+        assert_eq!(
+            config_from(&Request::op("solve")),
+            Ok(SchedulerConfig::default())
+        );
+    }
+
+    /// `chi_max` and `portfolio` are refused above their caps with a
+    /// reason naming the field; `threads` is clamped to the core count.
+    #[test]
+    fn config_caps_name_the_field() {
+        let chi = |n| {
+            config_from(&with_config(ConfigSpec {
+                chi_max: Some(n),
+                ..ConfigSpec::default()
+            }))
+        };
+        assert_eq!(chi(MAX_CHI_MAX).map(|c| c.chi_max), Ok(MAX_CHI_MAX));
+        for n in [MAX_CHI_MAX + 1, u32::MAX] {
+            assert_eq!(chi(n), Err("config needs \"chi_max\" <= 64".to_owned()));
+        }
+
+        let portfolio = |n| {
+            config_from(&with_config(ConfigSpec {
+                portfolio: Some(n),
+                ..ConfigSpec::default()
+            }))
+        };
+        assert_eq!(
+            portfolio(MAX_PORTFOLIO).map(|c| c.portfolio),
+            Ok(MAX_PORTFOLIO)
+        );
+        for n in [MAX_PORTFOLIO + 1, u32::MAX] {
+            assert_eq!(
+                portfolio(n),
+                Err("config needs \"portfolio\" <= 18".to_owned())
+            );
+        }
+
+        let threads = |n| {
+            config_from(&with_config(ConfigSpec {
+                threads: Some(n),
+                ..ConfigSpec::default()
+            }))
+            .map(|c| c.solver_threads)
+        };
+        let cores = ExecPolicy::Auto.thread_count();
+        assert_eq!(threads(0), Ok(0));
+        assert_eq!(threads(1), Ok(1));
+        assert_eq!(threads(u64::MAX), Ok(cores));
+    }
+
+    /// The portfolio cap is the number of distinct members: the first
+    /// `MAX_PORTFOLIO` are pairwise different, and from there on member
+    /// `i` repeats member `i - 12`.
+    #[test]
+    fn portfolio_members_repeat_from_the_cap() {
+        let cap = MAX_PORTFOLIO as usize;
+        let members: Vec<String> = netdag_solver::portfolio_configs(cap + 36, None)
+            .iter()
+            .map(|c| format!("{c:?}"))
+            .collect();
+        let distinct: std::collections::BTreeSet<&String> = members[..cap].iter().collect();
+        assert_eq!(distinct.len(), cap);
+        for i in cap..members.len() {
+            assert_eq!(members[i], members[i - 12], "member {i}");
+        }
+    }
+
+    /// A batch whose envelope config is refused is refused whole, before
+    /// any item is looked at or admitted.
+    #[test]
+    fn a_refused_batch_config_is_reported_once() {
+        let shared = Shared::new(&ServeConfig::default()).expect("state");
+        let mut req = Request::op("batch_solve");
+        req.config = Some(ConfigSpec {
+            chi_max: Some(MAX_CHI_MAX + 1),
+            ..ConfigSpec::default()
+        });
+        req.batch = Some(vec![crate::protocol::BatchItem {
+            app: None,
+            soft: None,
+            weakly_hard: None,
+            stat: None,
+        }]);
+        assert_eq!(
+            handle_batch(&shared, req),
+            Err("config needs \"chi_max\" <= 64".to_owned())
+        );
     }
 }
