@@ -64,7 +64,8 @@ pub struct SchedulerConfig {
     /// (`netdag_solver`'s deterministic portfolio). `0` or `1` keeps the
     /// classic single-engine search; `N ≥ 2` races `N` diverse configs
     /// sharing the incumbent makespan, returning bit-identical results
-    /// at any `solver_threads`.
+    /// at any `solver_threads`. A controlled solve polls a race at its
+    /// 2048-node epoch boundaries, so a deadline stops it there.
     pub portfolio: u32,
     /// Worker threads for the portfolio race (`0` = one per core,
     /// `1` = serial). Never affects results, only wall time.

@@ -44,11 +44,13 @@ pub struct SolveControl<'a> {
     /// solve — bit-identical output — while pruning everything worse
     /// than the cached makespan from the start. If the bound
     /// over-prunes (the new problem's optimum is worse than `B`), the
-    /// solve falls back to one cold run automatically.
+    /// solve falls back to one cold run automatically. A portfolio race
+    /// ignores it: a shared bound could change which member wins.
     pub warm_bound: Option<i64>,
-    /// Node budget per engine step between `keep_going` polls. Small
-    /// values poll the deadline more often at slightly higher
-    /// overhead; a few thousand is a good default.
+    /// Node budget per step between `keep_going` polls (a portfolio
+    /// race polls at the next 2048-node epoch boundary). Small values
+    /// poll more often at slightly higher overhead; a few thousand is
+    /// a good default.
     pub step_nodes: u64,
     /// Polled between steps with the engine's live [`SearchStats`];
     /// return `false` to stop the search and keep the best incumbent.

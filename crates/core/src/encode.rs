@@ -11,7 +11,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netdag_solver::{
-    Model, PresolveStep, PresolveWitness, Relaxation, SearchConfig, SearchStats, Solution, VarId,
+    portfolio_configs, ExecPolicy, Model, PresolveStep, PresolveWitness, Relaxation, SearchConfig,
+    SearchStats, Solution, VarId,
 };
 
 use crate::app::{Application, MsgId, TaskId};
@@ -598,21 +599,21 @@ pub(crate) fn solve(
 
 /// The one exact-search driver behind every exact solve, single- or
 /// multi-mode. Returns the best solution, the search effort (summed
-/// over engine runs, `proven_optimal` from the last) and whether the
-/// search ran to its natural end.
+/// over races, the result fields from the last) and whether the search
+/// ran to its natural end.
 ///
 /// With `cfg.lower_bound` the relaxation is closed exactly once: a
 /// witness rejects the model with zero search nodes, named through
-/// `name_of`; otherwise the closure is lent to every engine below.
-/// `portfolio ≥ 2` races that many configurations (bit-identical at any
-/// thread count) and ignores `control`, since the race exchanges bounds
-/// on its own schedule. Otherwise one engine runs under `control`, or
-/// cold and unpaused without one (the tree `Model::minimize_with_stats`
-/// explores). The warm bound is a strict-improvement bound: a cached
-/// makespan `B` passed as `B + 1` keeps every schedule `≤ B` reachable,
-/// so the search returns the same first optimal leaf as a cold one.
-/// When it over-prunes (finished with no solution), one cold run
-/// follows.
+/// `name_of`; otherwise the closure is lent to every race below. The
+/// race is one engine, or `portfolio ≥ 2` configurations (bit-identical
+/// at any thread count). It runs under `control`, polled every
+/// `step_nodes` nodes (a portfolio race at its 2048-node epoch
+/// boundaries), or cold and unpaused without one (the tree
+/// `Model::minimize_with_stats` explores). The warm bound is a
+/// strict-improvement bound: a cached makespan `B` passed as `B + 1`
+/// keeps every schedule `≤ B` reachable, so the search returns the same
+/// first optimal leaf as a cold one. When it over-prunes (finished with
+/// no solution), one cold run follows.
 ///
 /// # Errors
 ///
@@ -637,66 +638,55 @@ fn search(
         Backend::Exact { node_limit } => node_limit,
         Backend::Greedy => None,
     };
-    if cfg.portfolio >= 2 {
-        let mut configs = netdag_solver::portfolio_configs(cfg.portfolio as usize, node_limit);
-        if !cfg.lower_bound {
-            // `--no-lb` A/B runs: strip the family's bounded members.
-            for c in &mut configs {
-                c.lower_bound = false;
-            }
-        }
-        let outcome = model.minimize_portfolio(
-            objective,
-            &configs,
-            relax.as_ref(),
-            netdag_runtime::ExecPolicy::from_threads(cfg.solver_threads),
-        )?;
-        let best = outcome.best.ok_or(ScheduleError::Infeasible)?;
-        return Ok((best, outcome.stats, true));
-    }
-    let search_cfg = SearchConfig {
-        node_limit,
-        lower_bound: cfg.lower_bound,
-        ..SearchConfig::default()
+    let mut configs = match cfg.portfolio {
+        0 | 1 => vec![SearchConfig {
+            node_limit,
+            lower_bound: true,
+            ..SearchConfig::default()
+        }],
+        n => portfolio_configs(n as usize, node_limit),
     };
+    // `--no-lb` A/B runs: strip the bounded members.
+    for c in &mut configs {
+        c.lower_bound &= cfg.lower_bound;
+    }
+    let policy = ExecPolicy::from_threads(cfg.solver_threads);
     let mut run_to_end = |_: &SearchStats| true;
     let (mut bound, step_nodes, keep_going): (_, _, &mut dyn FnMut(&SearchStats) -> bool) =
         match control {
-            Some(c) => (c.warm_bound, c.step_nodes, &mut *c.keep_going),
+            // Only a one-engine race takes the warm bound: a shared bound
+            // can change which portfolio member wins, and a warm portfolio
+            // answer must match `netdag schedule --portfolio` byte for byte.
+            Some(c) => (
+                c.warm_bound.filter(|_| cfg.portfolio < 2),
+                c.step_nodes,
+                &mut *c.keep_going,
+            ),
             None => (None, u64::MAX, &mut run_to_end),
         };
-    let mut total = SearchStats::default();
+    let mut spent = SearchStats::default();
     loop {
-        let _search = netdag_trace::span_with(
-            "solver.search",
-            &[
-                ("vars", model.var_count().into()),
-                ("props", model.constraint_count().into()),
-                ("optimize", true.into()),
-            ],
-        );
-        let mut engine = model.engine(Some(objective), &search_cfg, relax.as_ref());
+        let mut race = model.race(objective, &configs, relax.as_ref(), policy)?;
         if let Some(b) = bound {
-            engine.inject_bound(b);
+            race.inject_bound(b);
         }
         let finished = loop {
-            if engine.step(step_nodes) {
+            if race.step(step_nodes) {
                 break true;
             }
-            if !keep_going(engine.stats()) {
+            if !keep_going(race.stats()) {
                 break false;
             }
         };
-        let outcome = engine.into_outcome();
+        let mut outcome = race.into_outcome();
         netdag_solver::publish_stats(&outcome.stats);
-        total.add_effort(&outcome.stats);
-        total.proven_optimal = outcome.stats.proven_optimal;
+        outcome.stats.add_effort(&spent);
         match outcome.best {
-            Some(best) => return Ok((best, total, finished)),
+            Some(best) => return Ok((best, outcome.stats, finished)),
             // The warm bound may have pruned a worse-than-cached optimum
             // (perturbed constraints); distinguish that from true
             // infeasibility with a cold run.
-            None if finished && bound.take().is_some() => {}
+            None if finished && bound.take().is_some() => spent = outcome.stats,
             None if finished => return Err(ScheduleError::Infeasible),
             None => return Err(ScheduleError::Interrupted),
         }

@@ -45,51 +45,6 @@ where
     (out.len() == n).then_some(out)
 }
 
-/// Longest-path length (in edge count) ending at each vertex of a DAG.
-///
-/// # Panics
-///
-/// Panics if the graph has a cycle.
-pub fn longest_path_levels<F>(n: usize, successors: F) -> Vec<u64>
-where
-    F: Fn(usize) -> Vec<usize>,
-{
-    let order = topological_order(n, &successors).expect("graph must be acyclic");
-    let mut level = vec![0u64; n];
-    for &v in &order {
-        for s in successors(v) {
-            level[s] = level[s].max(level[v] + 1);
-        }
-    }
-    level
-}
-
-/// Weighted critical path: the largest total `weight` along any path,
-/// where each vertex contributes its own weight.
-///
-/// # Panics
-///
-/// Panics if the graph has a cycle.
-pub fn critical_path<F>(n: usize, weights: &[u64], successors: F) -> u64
-where
-    F: Fn(usize) -> Vec<usize>,
-{
-    assert_eq!(weights.len(), n);
-    let order = topological_order(n, &successors).expect("graph must be acyclic");
-    let mut best = vec![0u64; n];
-    let mut overall = 0;
-    for &v in order.iter().rev() {
-        let down = successors(v)
-            .into_iter()
-            .map(|s| best[s])
-            .max()
-            .unwrap_or(0);
-        best[v] = weights[v] + down;
-        overall = overall.max(best[v]);
-    }
-    overall
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,36 +64,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn levels_on_diamond() {
-        // 0 → {1, 2} → 3.
-        let succ = |v: usize| match v {
-            0 => vec![1, 2],
-            1 | 2 => vec![3],
-            _ => vec![],
-        };
-        assert_eq!(longest_path_levels(4, succ), vec![0, 1, 1, 2]);
-    }
-
-    #[test]
-    fn critical_path_weighted() {
-        // 0 →1, 0→2, 1→3, 2→3 with weights.
-        let succ = |v: usize| match v {
-            0 => vec![1, 2],
-            1 | 2 => vec![3],
-            _ => vec![],
-        };
-        // Heavier middle branch dominates: 5 + 7 + 2 = 14.
-        assert_eq!(critical_path(4, &[5, 7, 1, 2], succ), 14);
-        // Empty graph edge case.
-        assert_eq!(critical_path(1, &[3], |_| vec![]), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "acyclic")]
-    fn levels_panic_on_cycle() {
-        longest_path_levels(2, |v| vec![(v + 1) % 2]);
     }
 }

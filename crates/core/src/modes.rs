@@ -279,8 +279,8 @@ pub fn schedule_modes(
 /// of per-mode makespans) and the search pauses every `step_nodes`
 /// nodes to poll `keep_going`, so a deadline stops it with the best
 /// joint incumbent ([`ModeScheduleOutcome::complete`] is then `false`).
-/// `portfolio ≥ 2` races on its own schedule and ignores the
-/// controller.
+/// A `portfolio ≥ 2` race is polled at its epoch boundaries and takes
+/// no warm bound.
 ///
 /// # Errors
 ///

@@ -294,55 +294,6 @@ impl Schedule {
         Ok(())
     }
 
-    /// Exports the scheduled application as a Graphviz DOT digraph: tasks
-    /// as nodes (labeled with placement, WCET and start), messages as
-    /// edges through round boxes (labeled with `χ`). Render with
-    /// `dot -Tsvg`.
-    pub fn to_dot(&self, app: &Application) -> String {
-        let mut out = String::from(
-            "digraph netdag {\n  rankdir=LR;\n  node [shape=box, fontname=\"monospace\"];\n",
-        );
-        for t in app.tasks() {
-            let task = app.task(t);
-            out.push_str(&format!(
-                "  {t} [label=\"{}\\n{} wcet {}µs\\nζ={}µs\"];\n",
-                task.name,
-                task.node,
-                task.wcet_us,
-                self.task_start(t)
-            ));
-        }
-        for (r, round) in self.rounds.iter().enumerate() {
-            out.push_str(&format!(
-                "  round{r} [shape=ellipse, style=dashed, label=\"round {r}\\nζ={}µs d={}µs\"];\n",
-                round.start_us, round.duration_us
-            ));
-        }
-        for m in app.messages() {
-            let msg = app.message(m);
-            let r = self.round_of(m).expect("message assigned to a round");
-            out.push_str(&format!(
-                "  {} -> round{r} [label=\"{m} χ={} w={}B\"];\n",
-                msg.source,
-                self.chi(m),
-                msg.width
-            ));
-            for &c in &msg.consumers {
-                out.push_str(&format!("  round{r} -> {c};\n"));
-            }
-        }
-        // Local (same-node) edges go straight between tasks.
-        for t in app.tasks() {
-            for &s in app.successors(t) {
-                if app.task(t).node == app.task(s).node {
-                    out.push_str(&format!("  {t} -> {s} [style=dotted];\n"));
-                }
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
-
     /// Renders a fig. 1-style timeline: one row per node plus a bus row,
     /// with time bucketed into `columns` cells.
     pub fn render_timeline(&self, app: &Application, columns: usize) -> String {
@@ -564,21 +515,6 @@ mod tests {
         // Task glyphs are digits.
         assert!(text.contains('0'));
         assert!(text.contains('1'));
-    }
-
-    #[test]
-    fn dot_export_mentions_every_item() {
-        let app = simple_app();
-        let s = feasible_schedule(&app);
-        let dot = s.to_dot(&app);
-        assert!(dot.starts_with("digraph netdag {"));
-        assert!(dot.ends_with("}\n"));
-        assert!(dot.contains("sense"));
-        assert!(dot.contains("act"));
-        assert!(dot.contains("round0"));
-        assert!(dot.contains("χ=3"));
-        assert!(dot.contains("t0 -> round0"));
-        assert!(dot.contains("round0 -> t1"));
     }
 
     #[test]

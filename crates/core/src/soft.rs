@@ -74,8 +74,7 @@ pub fn schedule_soft_with_deadlines<S: SoftStatistic + ?Sized>(
 
 /// As [`schedule_soft_with_deadlines`], with the exact solve steered by
 /// a [`SolveControl`] (warm-start bound plus pausable search). The
-/// greedy backend has no search to steer and ignores the controller;
-/// `portfolio ≥ 2` delegates to the batch race.
+/// greedy backend has no search to steer and ignores the controller.
 ///
 /// # Errors
 ///
@@ -201,8 +200,7 @@ pub(crate) fn build_spec<S: SoftStatistic + ?Sized>(
 
 /// The success probability a schedule actually achieves for `task` under
 /// `stat`: the product of eq. (6) over the task's message predecessors
-/// (`1.0` for tasks with no remote inputs). Beacon floods are excluded;
-/// see [`achieved_probability_with_beacons`].
+/// (`1.0` for tasks with no remote inputs). Beacon floods are excluded.
 pub fn achieved_probability<S: SoftStatistic + ?Sized>(
     app: &Application,
     stat: &S,
@@ -215,30 +213,6 @@ pub fn achieved_probability<S: SoftStatistic + ?Sized>(
         .product()
 }
 
-/// As [`achieved_probability`], but with the paper's full `pred(τ)`: the
-/// beacon flood of every distinct round carrying one of the task's input
-/// messages also has to succeed.
-pub fn achieved_probability_with_beacons<S: SoftStatistic + ?Sized>(
-    app: &Application,
-    stat: &S,
-    schedule: &Schedule,
-    task: TaskId,
-) -> f64 {
-    let preds = app.message_predecessors(task);
-    let msg_product: f64 = preds
-        .iter()
-        .map(|&m| stat.success_rate(schedule.chi(m)))
-        .product();
-    let mut rounds: Vec<usize> = preds.iter().filter_map(|&m| schedule.round_of(m)).collect();
-    rounds.sort_unstable();
-    rounds.dedup();
-    let beacon_product: f64 = rounds
-        .into_iter()
-        .map(|r| stat.success_rate(schedule.rounds()[r].beacon_chi))
-        .product();
-    msg_product * beacon_product
-}
-
 #[cfg(test)]
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
@@ -246,6 +220,30 @@ mod tests {
     use crate::constraints::SoftConstraints;
     use crate::stat::Eq15Statistic;
     use netdag_glossy::NodeId;
+
+    /// As [`achieved_probability`], but with the paper's full `pred(τ)`: the
+    /// beacon flood of every distinct round carrying one of the task's input
+    /// messages also has to succeed.
+    fn achieved_probability_with_beacons<S: SoftStatistic + ?Sized>(
+        app: &Application,
+        stat: &S,
+        schedule: &Schedule,
+        task: TaskId,
+    ) -> f64 {
+        let preds = app.message_predecessors(task);
+        let msg_product: f64 = preds
+            .iter()
+            .map(|&m| stat.success_rate(schedule.chi(m)))
+            .product();
+        let mut rounds: Vec<usize> = preds.iter().filter_map(|&m| schedule.round_of(m)).collect();
+        rounds.sort_unstable();
+        rounds.dedup();
+        let beacon_product: f64 = rounds
+            .into_iter()
+            .map(|r| stat.success_rate(schedule.rounds()[r].beacon_chi))
+            .product();
+        msg_product * beacon_product
+    }
 
     /// s1, s2 → ctl → a1, a2 on five nodes.
     fn mimo_ish() -> (Application, TaskId, TaskId) {

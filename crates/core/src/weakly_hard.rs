@@ -80,7 +80,7 @@ pub fn schedule_weakly_hard_with_deadlines<S: WeaklyHardStatistic + ?Sized>(
 /// As [`schedule_weakly_hard_with_deadlines`], with the exact solve
 /// steered by a [`SolveControl`] (warm-start bound plus pausable
 /// search). The greedy backend has no search to steer and ignores the
-/// controller; `portfolio ≥ 2` delegates to the batch race.
+/// controller.
 ///
 /// # Errors
 ///

@@ -46,7 +46,7 @@ pub const SOLVER_PRESOLVE_SHAVED: &str = "solver.presolve.shaved_domains";
 /// Shared-prefix rounds pinned equal across modes by joint multi-mode
 /// encodings (one count per shared round per encode).
 pub const SOLVER_MODE_SHARED_ROUNDS: &str = "solver.mode_shared_rounds";
-/// Portfolio races run (`Model::minimize_portfolio` invocations).
+/// Portfolio races of two or more configs run (`Model::race`).
 pub const SOLVER_PORTFOLIO_RACES: &str = "solver.portfolio_races";
 /// Search nodes explored by non-winning portfolio engines — the race's
 /// total-work overhead over its winner, otherwise invisible once the

@@ -71,7 +71,8 @@ pub struct ConfigSpec {
     pub beacon_chi: Option<u32>,
     /// Use the greedy backend (default false = exact).
     pub greedy: Option<bool>,
-    /// Exact-backend node budget (default 200 000, the CLI's limit).
+    /// Exact-backend node budget (default 200 000, the CLI's limit; at
+    /// most 4 000 000).
     pub node_limit: Option<u64>,
     /// Per-message rounds instead of per-level (default false).
     pub per_message_rounds: Option<bool>,
@@ -128,7 +129,9 @@ pub struct Request {
     /// Solve deadline in milliseconds, measured from the moment a
     /// worker picks the request up; expiry returns the best incumbent
     /// so far with status [`STATUS_INCOMPLETE`] — for `solve` and for
-    /// `mode_solve`'s joint search alike.
+    /// `mode_solve`'s joint search alike. The search polls it every
+    /// `--step-nodes` nodes; a portfolio race (`config.portfolio ≥ 2`)
+    /// polls it at its 2048-node epoch boundaries.
     pub deadline_ms: Option<u64>,
     /// The schedule to check (validate only).
     pub schedule: Option<ScheduleExport>,

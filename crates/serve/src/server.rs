@@ -496,9 +496,12 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
         scope.spawn(|| accept_loop(&listener, &shared, scope));
         // The shard pools run on the calling thread's fan-out — worker
         // `i` drains shard `i % nshards` — and return only when
-        // shutdown was requested and every queue is drained.
+        // shutdown was requested and every queue is drained. A handler
+        // panic ends its worker alone (its connection answers the lost
+        // job), so the drain, log flush and snapshot below still run.
         run_indexed(ExecPolicy::Threads(pool), pool, |i| {
-            worker_loop(&shared, &shared.shards[i % nshards]);
+            let worker = || worker_loop(&shared, &shared.shards[i % nshards]);
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(worker));
         });
     });
     if let Some(log) = shared.access.as_ref() {
@@ -1168,13 +1171,17 @@ const MAX_CHI_MAX: u32 = 64;
 /// member `i` repeats member `i - 12`, so a wider race only adds
 /// duplicate engines.
 const MAX_PORTFOLIO: u32 = 18;
+/// Largest `node_limit` a request may ask for: 10× the 400,000 that
+/// the soak and the benchmark send, so no request can pin a worker for
+/// an unbounded search.
+const MAX_NODE_LIMIT: u64 = 4_000_000;
 
 /// Maps a request's optional [`crate::protocol::ConfigSpec`] to a
 /// [`SchedulerConfig`] whose unset fields keep the defaults of
 /// [`SchedulerConfig::default`], as the CLI's `netdag schedule` does,
 /// so an unconfigured request solves the same problem the unconfigured
-/// CLI does. Refuses a `chi_max` or `portfolio` over its cap, naming
-/// the field, and clamps `threads` to the core count.
+/// CLI does. Refuses a `chi_max`, `portfolio` or `node_limit` over its
+/// cap, naming the field, and clamps `threads` to the core count.
 fn config_from(req: &Request) -> Result<SchedulerConfig, String> {
     let spec = req.config.clone().unwrap_or_default();
     let default = SchedulerConfig::default();
@@ -1185,6 +1192,9 @@ fn config_from(req: &Request) -> Result<SchedulerConfig, String> {
     let portfolio = spec.portfolio.unwrap_or(default.portfolio);
     if portfolio > MAX_PORTFOLIO {
         return Err(format!("config needs \"portfolio\" <= {MAX_PORTFOLIO}"));
+    }
+    if spec.node_limit.is_some_and(|n| n > MAX_NODE_LIMIT) {
+        return Err(format!("config needs \"node_limit\" <= {MAX_NODE_LIMIT}"));
     }
     Ok(SchedulerConfig {
         beacon_chi: spec.beacon_chi.unwrap_or(default.beacon_chi),
@@ -1709,8 +1719,9 @@ mod tests {
         );
     }
 
-    /// `chi_max` and `portfolio` are refused above their caps with a
-    /// reason naming the field; `threads` is clamped to the core count.
+    /// `chi_max`, `portfolio` and `node_limit` are refused above their
+    /// caps with a reason naming the field; `threads` is clamped to the
+    /// core count.
     #[test]
     fn config_caps_name_the_field() {
         let chi = |n| {
@@ -1738,6 +1749,26 @@ mod tests {
             assert_eq!(
                 portfolio(n),
                 Err("config needs \"portfolio\" <= 18".to_owned())
+            );
+        }
+
+        let node_limit = |n| {
+            config_from(&with_config(ConfigSpec {
+                node_limit: Some(n),
+                ..ConfigSpec::default()
+            }))
+            .map(|c| c.backend)
+        };
+        assert_eq!(
+            node_limit(MAX_NODE_LIMIT),
+            Ok(Backend::Exact {
+                node_limit: Some(MAX_NODE_LIMIT)
+            })
+        );
+        for n in [MAX_NODE_LIMIT + 1, u64::MAX] {
+            assert_eq!(
+                node_limit(n),
+                Err("config needs \"node_limit\" <= 4000000".to_owned())
             );
         }
 

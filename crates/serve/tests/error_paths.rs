@@ -467,6 +467,59 @@ fn lost_worker_error() {
     c.shutdown();
 }
 
+/// A handler panic costs its job and its worker, not the daemon:
+/// `serve` still drains, writes its access log and cache snapshot, and
+/// returns its report.
+#[test]
+fn serve_returns_its_report_after_a_handler_panic() {
+    let _serial = serial();
+    const DOOMED: u64 = 77;
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let log_path = dir.join(format!("netdag_panic_access_{pid}.ndjson"));
+    let snapshot_path = dir.join(format!("netdag_panic_snapshot_{pid}.json"));
+    for path in [&log_path, &snapshot_path] {
+        let _ = std::fs::remove_file(path);
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let cfg = ServeConfig {
+        workers: 2,
+        access_log: Some(log_path.clone()),
+        cache_snapshot: Some(snapshot_path.clone()),
+        worker_hook: Some(WorkerHook::new(|_op, id| {
+            if id == Some(DOOMED) {
+                panic!("injected worker fault");
+            }
+        })),
+        ..ServeConfig::default()
+    };
+    let daemon = std::thread::spawn(move || serve(listener, &cfg));
+    let mut c = Client::connect(addr);
+    assert_eq!(c.send(&solve(1)).status, STATUS_OK);
+    c.expect_request_error(
+        &solve(DOOMED),
+        "request rid 2 lost: its worker exited without answering",
+    );
+    c.shutdown();
+
+    let report = daemon
+        .join()
+        .expect("serve must not panic")
+        .expect("serve report");
+    assert_eq!(report.cache_misses, 1);
+    let log = std::fs::read_to_string(&log_path).expect("access log");
+    assert!(
+        log.lines()
+            .any(|l| l.contains("\"rid\":1,") && l.contains("\"status\":\"ok\"")),
+        "{log}"
+    );
+    assert!(snapshot_path.exists(), "cache snapshot written on drain");
+    for path in [&log_path, &snapshot_path] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// A deadline that expires before any incumbent answers `error`, but
 /// counts an expired deadline rather than an error.
 #[test]

@@ -511,6 +511,53 @@ fn validate_and_protocol_errors() {
     assert!(report.requests >= 7);
 }
 
+/// A `node_limit` over the cap is refused with an error naming the
+/// field, before any search; the daemon keeps all its workers, and a
+/// request at the cap is solved.
+#[test]
+fn node_limit_over_the_cap_is_refused() {
+    let _serial = serial();
+    let (addr, report_rx) = start_server(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    let workers_live = |c: &mut Client| {
+        c.send(&Request::op("health"))
+            .health
+            .expect("health body")
+            .workers_live
+    };
+    let mut polls = 0;
+    while workers_live(&mut c) != 2 {
+        polls += 1;
+        assert!(polls < 3_000, "workers never started");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let with_limit = |id, n| {
+        let mut req = solve_request(id, pipeline_app(), Some(wh_spec(10, 40)));
+        req.config = Some(ConfigSpec {
+            node_limit: Some(n),
+            ..Default::default()
+        });
+        req
+    };
+    let r = c.send(&with_limit(1, 4_000_001));
+    assert_eq!(r.status, STATUS_ERROR);
+    assert_eq!(
+        r.reason.as_deref(),
+        Some("config needs \"node_limit\" <= 4000000")
+    );
+    assert_eq!(workers_live(&mut c), 2);
+    assert_eq!(c.send(&with_limit(2, 4_000_000)).status, STATUS_OK);
+
+    c.send(&Request::op("shutdown"));
+    report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits after shutdown");
+}
+
 /// A spec whose timing subsystem is provably over-constrained (the
 /// soft requirement exceeds what any `χ ≤ chi_max` can deliver on a
 /// single message, a unary row in the difference subsystem) is rejected
@@ -864,6 +911,110 @@ fn mode_solve_deadline_with_no_incumbent_is_a_structured_error() {
     let full = c.send(&mode_request(2, heavy_modes()));
     assert_eq!(full.status, STATUS_OK, "{:?}", full.reason);
     assert_eq!(full.cached, Some(false));
+
+    c.send(&Request::op("shutdown"));
+    let report = report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits after shutdown");
+    assert_eq!(report.deadline_expired, 1);
+}
+
+/// A daemon for the deadline tests: one worker polling every 256 nodes.
+fn deadline_server() -> (std::net::SocketAddr, mpsc::Receiver<ServeReport>) {
+    start_server(ServeConfig {
+        workers: 1,
+        queue_capacity: 16,
+        cache_capacity: 16,
+        step_nodes: 256,
+        ..ServeConfig::default()
+    })
+}
+
+/// The `portfolio: 2` twin of
+/// [`deadline_returns_best_incumbent_marked_incomplete`]: a race polls
+/// the deadline at its 2048-node epoch boundaries, so `deadline_ms = 0`
+/// stops it after its first epoch. Under `wh_spec(20, 40)` one member
+/// has an incumbent by then and the other is still searching (the race
+/// to the end takes 4086 nodes, 3170 of them the loser's).
+#[test]
+fn portfolio_deadline_returns_best_incumbent_marked_incomplete() {
+    let _serial = serial();
+    let (addr, report_rx) = deadline_server();
+    let mut c = Client::connect(addr);
+
+    let race = ConfigSpec {
+        portfolio: Some(2),
+        ..Default::default()
+    };
+    let mut req = solve_request(1, heavy_app(), Some(wh_spec(20, 40)));
+    req.config = Some(race.clone());
+    req.deadline_ms = Some(0);
+    let r = c.send(&req);
+    assert_eq!(r.status, STATUS_INCOMPLETE, "{:?}", r.reason);
+    assert_eq!(r.complete, Some(false));
+    let incumbent = r.result.expect("best incumbent so far");
+
+    let mut full_req = solve_request(2, heavy_app(), Some(wh_spec(20, 40)));
+    full_req.config = Some(race);
+    let full = c.send(&full_req);
+    assert_eq!(full.status, STATUS_OK);
+    assert_eq!(full.cached, Some(false));
+    assert!(full.result.expect("schedule").makespan_us <= incumbent.makespan_us);
+
+    let body = c
+        .send(&Request::op("cache_stats"))
+        .cache
+        .expect("cache body");
+    assert_eq!((body.misses, body.entries), (2, 1));
+
+    c.send(&Request::op("shutdown"));
+    let report = report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits after shutdown");
+    assert_eq!(report.deadline_expired, 1);
+}
+
+/// The `portfolio: 2` twin of
+/// [`mode_solve_deadline_returns_best_incumbent_marked_incomplete`]:
+/// the joint race stops at its first epoch boundary with an incumbent.
+/// (Member 1 has already proved the joint optimum there, so unlike the
+/// one-engine stop the incumbent may carry `optimal`; the answer is
+/// still incomplete because member 0 had not finished.)
+#[test]
+fn mode_solve_portfolio_deadline_returns_best_incumbent_marked_incomplete() {
+    let _serial = serial();
+    let (addr, report_rx) = deadline_server();
+    let mut c = Client::connect(addr);
+
+    let race = ConfigSpec {
+        portfolio: Some(2),
+        ..Default::default()
+    };
+    let mut req = mode_request(1, heavy_modes());
+    req.config = Some(race.clone());
+    req.deadline_ms = Some(0);
+    let r = c.send(&req);
+    assert_eq!(r.status, STATUS_INCOMPLETE, "{:?}", r.reason);
+    assert_eq!(r.complete, Some(false));
+    let incumbent = r.mode_result.expect("best joint incumbent so far");
+    let total = |e: &netdag_core::modes::ModeScheduleExport| {
+        e.modes.iter().map(|m| m.makespan_us).sum::<u64>()
+    };
+
+    let mut full_req = mode_request(2, heavy_modes());
+    full_req.config = Some(race);
+    let full = c.send(&full_req);
+    assert_eq!(full.status, STATUS_OK, "{:?}", full.reason);
+    assert_eq!(full.cached, Some(false));
+    let full = full.mode_result.expect("mode schedules");
+    assert!(full.optimal);
+    assert!(total(&full) <= total(&incumbent));
+
+    let body = c
+        .send(&Request::op("cache_stats"))
+        .cache
+        .expect("cache body");
+    assert_eq!((body.misses, body.entries), (2, 1));
 
     c.send(&Request::op("shutdown"));
     let report = report_rx

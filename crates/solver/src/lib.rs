@@ -18,10 +18,9 @@
 //!   without opening them, and its CPM `[ES, LS]` presolve shaves root
 //!   domains or proves infeasibility with a named witness before any
 //!   search ([`SearchConfig::lower_bound`]);
-//! * a deterministic parallel portfolio race ([`portfolio`],
-//!   [`Model::minimize_portfolio`]) — N configs share the incumbent
-//!   bound at epoch boundaries and return bit-identical results at any
-//!   thread count;
+//! * a pausable, deterministic parallel portfolio race ([`portfolio`],
+//!   [`Model::race`]) — N configs share the incumbent bound at epoch
+//!   boundaries and return bit-identical results at any thread count;
 //! * the retired clone-per-node engine ([`reference`](mod@reference)), kept as a
 //!   differential-testing oracle and benchmark baseline.
 //!
@@ -67,8 +66,9 @@ pub mod search;
 pub use domain::{DomainStore, VarId};
 pub use model::{Model, SolverError};
 pub use netdag_runtime::ExecPolicy;
+pub use portfolio::Race;
 pub use relax::{PresolveStep, PresolveWitness, Relaxation};
 pub use search::{
-    portfolio_configs, publish_stats, Engine, ModeObjectives, RestartPolicy, SearchConfig,
-    SearchOutcome, SearchStats, Solution, ValueOrder, VarOrder,
+    portfolio_configs, publish_stats, ModeObjectives, RestartPolicy, SearchConfig, SearchOutcome,
+    SearchStats, Solution, ValueOrder, VarOrder,
 };

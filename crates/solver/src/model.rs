@@ -4,9 +4,10 @@ use std::error::Error;
 use std::fmt;
 
 use crate::domain::VarId;
+use crate::portfolio::Race;
 use crate::propagator::{IfThenLe, LinearLe, MaxOf, MinOf, NoOverlap, Propagator, TableFn};
 use crate::relax::Relaxation;
-use crate::search::{self, Engine, SearchConfig, SearchOutcome, Solution};
+use crate::search::{self, SearchConfig, SearchOutcome, Solution};
 
 /// Error returned while building or solving a [`Model`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,28 +164,31 @@ impl Model {
         self.linear_ge(terms, bound)
     }
 
-    /// Creates a pausable branch-and-bound [`Engine`] over this model.
+    /// Starts a pausable race of `configs` minimizing `objective`: one
+    /// config is one branch-and-bound engine, several race in epochs
+    /// ([`crate::portfolio`]: same bits at any thread count). The caller
+    /// steps it in node budgets (e.g. to enforce a deadline), may inject
+    /// a warm bound, and publishes the final stats
+    /// ([`crate::search::publish_stats`]). Members with `lower_bound`
+    /// prune with the borrowed `relax`, built once per solve with
+    /// [`Relaxation::build`]; with `relax = None` they search unbounded.
     ///
-    /// Unlike [`Model::minimize`], which runs a search to completion,
-    /// the returned engine is driven by the caller via
-    /// [`Engine::step`] (bounded node budgets — e.g. to enforce a
-    /// per-request deadline) and can be seeded with a known-feasible
-    /// objective bound via [`Engine::inject_bound`] (warm starts).
-    /// Callers should publish the final stats themselves with
-    /// [`crate::search::publish_stats`].
+    /// # Errors
     ///
-    /// The engine builds no relaxation: with `cfg.lower_bound` and an
-    /// objective it prunes with the borrowed `relax` (build it once with
-    /// [`Relaxation::build`] and lend it to every engine of the solve —
-    /// a warm attempt and its cold fallback alike); with `relax = None`
-    /// it searches unbounded.
-    pub fn engine<'a>(
+    /// Returns [`SolverError::UnknownVar`] if `objective` is foreign and
+    /// [`SolverError::EmptyPortfolio`] when `configs` is empty.
+    pub fn race<'a>(
         &'a self,
-        objective: Option<VarId>,
-        cfg: &SearchConfig,
+        objective: VarId,
+        configs: &[SearchConfig],
         relax: Option<&'a Relaxation>,
-    ) -> Engine<'a> {
-        Engine::new(self, objective, cfg.clone(), relax)
+        policy: netdag_runtime::ExecPolicy,
+    ) -> Result<Race<'a>, SolverError> {
+        self.check_var(objective)?;
+        if configs.is_empty() {
+            return Err(SolverError::EmptyPortfolio);
+        }
+        Ok(Race::new(self, objective, configs, relax, policy))
     }
 
     /// Posts `x − y ≥ c`.
@@ -346,36 +350,6 @@ impl Model {
     ) -> Result<SearchOutcome, SolverError> {
         self.check_var(objective)?;
         Ok(search::run(self, Some(objective), cfg))
-    }
-
-    /// Races several search configurations on this model in parallel and
-    /// returns the deterministic winner's outcome (see
-    /// [`crate::portfolio`] module docs — same bits at any thread
-    /// count). [`SearchStats::portfolio_winner`] carries the winning
-    /// config index; the remaining stats are summed across all engines.
-    /// The bounded members (`lower_bound`) share the borrowed `relax`,
-    /// as [`Model::engine`] does.
-    ///
-    /// [`SearchStats::portfolio_winner`]: crate::SearchStats::portfolio_winner
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::UnknownVar`] if `objective` is foreign and
-    /// [`SolverError::EmptyPortfolio`] when `configs` is empty.
-    pub fn minimize_portfolio(
-        &self,
-        objective: VarId,
-        configs: &[SearchConfig],
-        relax: Option<&Relaxation>,
-        policy: netdag_runtime::ExecPolicy,
-    ) -> Result<SearchOutcome, SolverError> {
-        self.check_var(objective)?;
-        if configs.is_empty() {
-            return Err(SolverError::EmptyPortfolio);
-        }
-        Ok(crate::portfolio::race(
-            self, objective, configs, relax, policy,
-        ))
     }
 }
 

@@ -14,8 +14,8 @@
 //!   variable `u` (and `obj ≥ −D[0][obj]` from the zero node), because
 //!   `u − obj ≤ D[u][obj]` holds in *every* descendant of the root: the
 //!   matrix is built only from constraints valid everywhere and from
-//!   root domain bounds, which search can only shrink. [`Engine`]
-//!   prunes a freshly decided child without opening it when the bound
+//!   root domain bounds, which search can only shrink. The trail
+//!   engine prunes a freshly decided child without opening it when the bound
 //!   reaches the incumbent — the exact nodes branch-and-bound otherwise
 //!   explores just to kill in propagation during the optimality-proof
 //!   phase.
@@ -35,8 +35,6 @@
 //! tree therefore records the identical incumbent sequence (and final
 //! solution bytes) while skipping the doomed nodes — the differential
 //! tests in `tests/` pin exactly that.
-//!
-//! [`Engine`]: crate::search::Engine
 
 use crate::domain::{DomainStore, Infeasible, VarId};
 use crate::model::Model;

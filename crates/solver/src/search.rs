@@ -116,9 +116,8 @@ pub struct SearchConfig {
     /// only to kill in propagation, so both engines record the same
     /// incumbent sequence (see `tests/lower_bound.rs`). Only affects
     /// minimization (ignored without an objective). The `minimize*`
-    /// entry points close the relaxation themselves; an engine from
-    /// [`Model::engine`] or [`Model::minimize_portfolio`] borrows its
-    /// caller's and searches unbounded without one.
+    /// entry points close the relaxation themselves; a [`Model::race`]
+    /// borrows its caller's and searches unbounded without one.
     pub lower_bound: bool,
 }
 
@@ -313,8 +312,8 @@ pub struct SearchStats {
     /// reference engine, which keeps no trail).
     pub trail_len_max: u64,
     /// Index of the winning configuration when the search ran as a
-    /// portfolio race ([`Model::minimize_portfolio`]); `None` for
-    /// single-engine searches or when no solution was found.
+    /// portfolio race of two or more configs ([`Model::race`]); `None`
+    /// for single-engine searches or when no solution was found.
     pub portfolio_winner: Option<u32>,
     /// Per-mode objective split of a joint multi-mode solve; empty for
     /// single-mode searches. Filled by the scheduler after extraction,
@@ -399,10 +398,10 @@ enum Fail {
 /// The trail-based branch-and-bound engine.
 ///
 /// Pausable: [`Engine::step`] explores up to a node budget and returns,
-/// preserving the full search state, so the portfolio race can
-/// interleave engines in deterministic epochs and exchange objective
-/// bounds only at epoch boundaries.
-pub struct Engine<'a> {
+/// preserving the full search state, so a [`crate::Race`] can pause it
+/// for its caller or interleave several in deterministic epochs and
+/// exchange objective bounds only at epoch boundaries.
+pub(crate) struct Engine<'a> {
     model: &'a Model,
     cfg: SearchConfig,
     objective: Option<VarId>,
@@ -994,8 +993,8 @@ pub(crate) fn run(model: &Model, objective: Option<VarId>, cfg: &SearchConfig) -
 /// Mirrors a finished search's totals into the global metrics recorder.
 ///
 /// [`Model::solve`]-family entry points call this automatically; callers
-/// driving an [`Engine`] by hand (e.g. a serving loop pausing via
-/// [`Engine::step`]) should call it exactly once per search so the
+/// driving a [`crate::Race`] by hand (e.g. a serving loop pausing via
+/// [`crate::Race::step`]) should call it exactly once per race so the
 /// `solver.*` counters stay consistent with batch solves.
 pub fn publish_stats(stats: &SearchStats) {
     use netdag_obs::{counter, keys};

@@ -21,7 +21,6 @@ use std::fmt;
 use crate::automaton::Dfa;
 use crate::constraint::Constraint;
 use crate::order;
-use crate::sequence::Sequence;
 
 /// Error returned by [`oplus`] and friends.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -293,31 +292,32 @@ impl OmegaOplus {
     }
 }
 
-/// Brute-force soundness check over all sequence pairs of length `kappa`.
-/// Exponential; used to validate [`oplus_is_sound`] on small instances.
-///
-/// # Panics
-///
-/// Panics if `kappa > 12` (the check enumerates `4^κ` pairs).
-pub fn oplus_sound_naive(x: &Constraint, y: &Constraint, kappa: usize) -> bool {
-    assert!(kappa <= 12, "naive soundness check is for tiny kappa");
-    let z = oplus(x, y).expect("windowed constraints");
-    let sx = x.satisfaction_set(kappa);
-    let sy = y.satisfaction_set(kappa);
-    for u in &sx {
-        for v in &sy {
-            let w: Sequence = u.and(v);
-            if !z.models(&w) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::Sequence;
+
+    /// Brute-force soundness check over all sequence pairs of length `kappa`.
+    /// Exponential; used to validate [`oplus_is_sound`] on small instances.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kappa > 12` (the check enumerates `4^κ` pairs).
+    fn oplus_sound_naive(x: &Constraint, y: &Constraint, kappa: usize) -> bool {
+        assert!(kappa <= 12, "naive soundness check is for tiny kappa");
+        let z = oplus(x, y).expect("windowed constraints");
+        let sx = x.satisfaction_set(kappa);
+        let sy = y.satisfaction_set(kappa);
+        for u in &sx {
+            for v in &sy {
+                let w: Sequence = u.and(v);
+                if !z.models(&w) {
+                    return false;
+                }
+            }
+        }
+        true
+    }
 
     fn miss(m: u32, k: u32) -> Constraint {
         Constraint::any_miss(m, k).unwrap()

@@ -174,49 +174,6 @@ pub fn compare(x: &Constraint, y: &Constraint) -> Result<Domination, BuildDfaErr
     })
 }
 
-/// Groups all `AnyHit(m, K)` constraints with `K ≤ max_k` into their
-/// satisfaction-set equivalence classes `[(m, K)]`, each class sorted and
-/// led by its smallest-window member. Quantifies how redundant the
-/// `(m, K)` parameter space is (e.g. `(1, 1)`, `(2, 2)`, … all demand
-/// "every run succeeds" over long horizons but differ on short ones, so
-/// they are *not* merged under finite-window semantics).
-///
-/// # Errors
-///
-/// Returns [`BuildDfaError`] when a semantic check fails to compile
-/// (cannot happen for the small windows this is meant for).
-///
-/// # Example
-///
-/// ```
-/// use netdag_weakly_hard::order::equivalence_classes;
-///
-/// let classes = equivalence_classes(3)?;
-/// // (0,1), (0,2), (0,3) are all trivial → one class of three.
-/// let trivial = classes.iter().find(|c| c.len() == 3).expect("trivial class");
-/// assert!(trivial.iter().all(|c| c.is_trivial()));
-/// # Ok::<(), netdag_weakly_hard::automaton::BuildDfaError>(())
-/// ```
-pub fn equivalence_classes(max_k: u32) -> Result<Vec<Vec<Constraint>>, BuildDfaError> {
-    let mut all = Vec::new();
-    for k in 1..=max_k {
-        for m in 0..=k {
-            all.push(Constraint::AnyHit { m, k });
-        }
-    }
-    let mut classes: Vec<Vec<Constraint>> = Vec::new();
-    'next: for c in all {
-        for class in &mut classes {
-            if equivalent(&class[0], &c)? {
-                class.push(c);
-                continue 'next;
-            }
-        }
-        classes.push(vec![c]);
-    }
-    Ok(classes)
-}
-
 /// A canonical representative of the equivalence class of `c`.
 ///
 /// Normalizes `AnyMiss` to `AnyHit` and collapses every trivial constraint
@@ -382,30 +339,6 @@ mod tests {
         );
         let rm = Constraint::row_miss(2);
         assert_eq!(canonical(&rm), rm);
-    }
-
-    #[test]
-    fn equivalence_classes_partition_the_space() {
-        let classes = equivalence_classes(4).unwrap();
-        // Every constraint appears exactly once.
-        let total: usize = classes.iter().map(Vec::len).sum();
-        assert_eq!(total, (1..=4).map(|k| k as usize + 1).sum::<usize>());
-        // Members of one class are pairwise equivalent; representatives of
-        // different classes are not.
-        for class in &classes {
-            for c in class {
-                assert!(equivalent(&class[0], c).unwrap());
-            }
-        }
-        for (i, a) in classes.iter().enumerate() {
-            for b in classes.iter().skip(i + 1) {
-                assert!(!equivalent(&a[0], &b[0]).unwrap());
-            }
-        }
-        // The trivial constraints collapse into one class.
-        let trivial: Vec<_> = classes.iter().filter(|c| c[0].is_trivial()).collect();
-        assert_eq!(trivial.len(), 1);
-        assert_eq!(trivial[0].len(), 4);
     }
 
     #[test]
