@@ -14,8 +14,7 @@ use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_core::weakly_hard::schedule_weakly_hard;
 use netdag_obs::keys;
 use netdag_runtime::ExecPolicy;
-use netdag_validation::soft::validate_soft_par;
-use netdag_validation::weakly_hard::validate_weakly_hard_par;
+use netdag_validation::validate_contract;
 
 use crate::args::{
     Command, ScheduleOpts, ServeOpts, SoakOpts, StatChoice, TraceOpts, ValidateOpts, USAGE,
@@ -677,71 +676,37 @@ fn validate(opts: &ValidateOpts) -> Result<Output, CliError> {
     if netdag_trace::enabled() {
         netdag_trace::inject(replay::bus_timeline(&app, &export.schedule));
     }
-    let policy = ExecPolicy::from_threads(opts.threads);
-    let mut text = String::new();
-    let mut success = true;
-    if let Some(path) = &opts.soft {
-        let StatChoice::Eq15(fss) = opts.stat else {
-            return Err(CliError::StatMismatch(
-                "soft validation needs a soft statistic; use --stat eq15:<fss>",
-            ));
-        };
-        let spec: SoftSpec = read_json(path)?;
-        let f = spec.build(&names)?;
-        let stat = Eq15Statistic::new(fss, 16);
-        for r in validate_soft_par(
-            &app,
-            &stat,
-            &f,
-            &export.schedule,
-            opts.kappa,
-            0.999,
-            opts.seed,
-            policy,
-        ) {
-            success &= r.passed;
-            text.push_str(&format!(
-                "soft {}: v = {:.4} vs {:.3} (margin {:.4}) → {}\n",
-                app.task(r.task).name,
-                r.observed,
-                r.required,
-                r.margin,
-                if r.passed { "PASS" } else { "FAIL" }
-            ));
+    let soft = match &opts.soft {
+        Some(path) => {
+            let StatChoice::Eq15(fss) = opts.stat else {
+                return Err(CliError::StatMismatch(
+                    "soft validation needs a soft statistic; use --stat eq15:<fss>",
+                ));
+            };
+            Some((read_json::<SoftSpec>(path)?.build(&names)?, fss))
         }
-    }
-    if let Some(path) = &opts.weakly_hard {
-        if opts.stat != StatChoice::Eq13 && opts.soft.is_none() {
+        None => None,
+    };
+    let weakly_hard = match &opts.weakly_hard {
+        Some(_) if opts.stat != StatChoice::Eq13 && opts.soft.is_none() => {
             return Err(CliError::StatMismatch(
                 "weakly hard validation needs a weakly hard statistic; use --stat eq13",
             ));
         }
-        let spec: WeaklyHardSpec = read_json(path)?;
-        let f = spec.build(&names)?;
-        let stat = Eq13Statistic::new(16);
-        let reports = validate_weakly_hard_par(
-            &app,
-            &stat,
-            &f,
-            &export.schedule,
-            opts.kappa.min(2_000),
-            opts.trials,
-            opts.seed,
-            policy,
-        )
-        .map_err(|e| CliError::Synthesis(e.to_string()))?;
-        for r in reports {
-            success &= r.passed;
-            text.push_str(&format!(
-                "weakly hard {}: {} held in {}/{} adversarial trials → {}\n",
-                app.task(r.task).name,
-                r.requirement,
-                r.satisfied,
-                r.trials,
-                if r.passed { "PASS" } else { "FAIL" }
-            ));
-        }
-    }
+        Some(path) => Some(read_json::<WeaklyHardSpec>(path)?.build(&names)?),
+        None => None,
+    };
+    let (success, text) = validate_contract(
+        &app,
+        &export.schedule,
+        soft.as_ref().map(|(f, fss)| (f, *fss)),
+        weakly_hard.as_ref(),
+        opts.kappa,
+        opts.trials,
+        opts.seed,
+        ExecPolicy::from_threads(opts.threads),
+    )
+    .map_err(|e| CliError::Synthesis(e.to_string()))?;
     Ok(Output {
         text,
         success,

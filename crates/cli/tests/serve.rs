@@ -1,7 +1,8 @@
 //! Determinism acceptance tests for the serving daemon: every response
 //! — solved cold, answered from cache, or warm-started from a near
 //! miss — must carry the exact `ScheduleExport` document that
-//! `netdag schedule --out` writes for the same problem, byte for byte.
+//! `netdag schedule --out` writes for the same problem, byte for byte,
+//! and every `validate` response the report `netdag validate` prints.
 //!
 //! The server runs in-process, so it shares the process-global
 //! [`netdag_obs`] recorder with the test: the repeated-request case
@@ -17,7 +18,7 @@ use std::time::Duration;
 
 use netdag_cli::{parse_args, run};
 use netdag_obs::keys;
-use netdag_serve::protocol::{Request, Response, STATUS_OK};
+use netdag_serve::protocol::{Request, Response, StatSpec, STATUS_OK};
 use netdag_serve::{serve, ServeConfig};
 use serde::Value;
 
@@ -205,6 +206,89 @@ fn serve_responses_match_cli_schedule_bytes() {
     assert_eq!(body.shards[0].misses, 1);
     assert_eq!(body.shards[0].warm_starts, 1);
     assert_eq!(body.shards[0].restored, 0);
+
+    let bye = c.send(&Request::op("shutdown"));
+    assert_eq!(bye.status, STATUS_OK);
+    server.join().expect("server thread").expect("serve exits");
+}
+
+/// `netdag validate` and the daemon's `validate` op give one verdict:
+/// for a soft, a weakly hard and a combined contract on the pipeline
+/// example, the CLI's text equals `validation.report` byte for byte and
+/// its success equals `validation.passed`.
+#[test]
+fn serve_validate_report_matches_cli_validate_text() {
+    let _guard = SERIAL.lock().unwrap();
+    let dir = TempDir::new("validate");
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/data");
+    let app = data.join("pipeline_app.json");
+    let soft = data.join("pipeline_soft.json");
+    let wh = data.join("pipeline_weakly_hard.json");
+    let read = |path: &Path| fs::read_to_string(path).expect("read example");
+    let cli = |line: String| {
+        let command = parse_args(line.split_whitespace().map(str::to_owned)).expect("parsable");
+        run(&command).expect("command runs")
+    };
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let server = std::thread::spawn(move || serve(listener, &ServeConfig::default()));
+    let mut c = Client::connect(addr);
+
+    let cases = [
+        ("soft", Some(&soft), None, "eq15:1.0"),
+        ("weakly-hard", None, Some(&wh), "eq13"),
+        ("both", Some(&soft), Some(&wh), "eq15:1.0"),
+    ];
+    for (id, (tag, soft, wh, stat)) in (1..).zip(cases) {
+        let schedule = dir.path(&format!("schedule-{tag}.json"));
+        let (flag, spec) = match soft {
+            Some(path) => ("--soft", path),
+            None => ("--weakly-hard", wh.expect("a contract")),
+        };
+        let scheduled = cli(format!(
+            "schedule --app {} {flag} {} --stat {stat} --out {}",
+            app.display(),
+            spec.display(),
+            schedule.display()
+        ));
+        assert!(scheduled.success, "{tag}: {}", scheduled.text);
+        let mut contract = String::new();
+        if let Some(path) = soft {
+            contract.push_str(&format!(" --soft {}", path.display()));
+        }
+        if let Some(path) = wh {
+            contract.push_str(&format!(" --weakly-hard {}", path.display()));
+        }
+        let validated = cli(format!(
+            "validate --app {} --schedule {}{contract} --stat {stat} \
+             --kappa 4000 --trials 20 --seed 11",
+            app.display(),
+            schedule.display()
+        ));
+
+        let mut req = Request::op("validate");
+        req.id = Some(id);
+        req.app = Some(serde_json::from_str(&read(&app)).expect("app spec"));
+        req.schedule = Some(serde_json::from_str(&read(&schedule)).expect("schedule"));
+        req.soft = soft.map(|path| serde_json::from_str(&read(path)).expect("soft spec"));
+        req.weakly_hard = wh.map(|path| serde_json::from_str(&read(path)).expect("wh spec"));
+        req.stat = Some(StatSpec {
+            kind: stat[..4].to_owned(),
+            fss: stat
+                .strip_prefix("eq15:")
+                .map(|fss| fss.parse().expect("fss")),
+        });
+        req.kappa = Some(4000);
+        req.trials = Some(20);
+        req.seed = Some(11);
+        let resp = c.send(&req);
+        assert_eq!(resp.status, STATUS_OK, "{tag}: {:?}", resp.reason);
+        let report = resp.validation.expect("validation body");
+        assert!(report.report.contains(" → "), "{tag}: {}", report.report);
+        assert_eq!(validated.text, report.report, "{tag}");
+        assert_eq!(validated.success, report.passed, "{tag}");
+    }
 
     let bye = c.send(&Request::op("shutdown"));
     assert_eq!(bye.status, STATUS_OK);

@@ -99,11 +99,6 @@ impl Bernoulli {
             success: check_prob("success", success)?,
         })
     }
-
-    /// The per-transmission success probability.
-    pub fn success_probability(&self) -> f64 {
-        self.success
-    }
 }
 
 impl LossModel for Bernoulli {
@@ -243,16 +238,6 @@ impl<L: LossModel> NodeChurn<L> {
         })
     }
 
-    /// Long-run fraction of time a node spends down.
-    pub fn stationary_down(&self) -> f64 {
-        let denom = self.p_fail + self.p_recover;
-        if denom == 0.0 {
-            0.0
-        } else {
-            self.p_fail / denom
-        }
-    }
-
     fn step_node<R: Rng + ?Sized>(&mut self, node: NodeId, rng: &mut R) -> bool {
         let down = self.down.entry(node).or_insert(false);
         let flip = if *down {
@@ -366,6 +351,18 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    impl<L> NodeChurn<L> {
+        /// Long-run fraction of time a node spends down.
+        fn stationary_down(&self) -> f64 {
+            let denom = self.p_fail + self.p_recover;
+            if denom == 0.0 {
+                0.0
+            } else {
+                self.p_fail / denom
+            }
+        }
+    }
 
     #[test]
     fn probability_validation() {

@@ -55,17 +55,6 @@ impl EnergyModel {
         nodes.dedup();
         self.energy_mj(self.radio_on_per_run_us(schedule)) * nodes.len() as f64
     }
-
-    /// Duty cycle of the communication layer for a period of
-    /// `period_us` between application runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_us == 0`.
-    pub fn duty_cycle(&self, schedule: &Schedule, period_us: u64) -> f64 {
-        assert!(period_us > 0, "period must be positive");
-        self.radio_on_per_run_us(schedule) as f64 / period_us as f64
-    }
 }
 
 impl Default for EnergyModel {
@@ -116,21 +105,5 @@ mod tests {
         let per_node = m.energy_mj(schedule.total_communication_us());
         let network = m.network_energy_per_run_mj(&app, &schedule);
         assert!((network - 2.0 * per_node).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duty_cycle_math() {
-        let (_, schedule) = sched();
-        let m = EnergyModel::default();
-        let bus = schedule.total_communication_us();
-        let dc = m.duty_cycle(&schedule, bus * 10);
-        assert!((dc - 0.1).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "period")]
-    fn zero_period_panics() {
-        let (_, schedule) = sched();
-        EnergyModel::default().duty_cycle(&schedule, 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Hit/miss traces across repeated application runs.
 
-use netdag_core::app::{MsgId, TaskId};
+use netdag_core::app::TaskId;
 use netdag_weakly_hard::{Constraint, Sequence};
 
 use crate::bus::RunOutcome;
@@ -63,25 +63,6 @@ impl ExecutionTrace {
         &self.tasks[t.index()]
     }
 
-    /// The validity sequence of a message across runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` is out of range.
-    pub fn message_sequence(&self, m: MsgId) -> &Sequence {
-        &self.messages[m.index()]
-    }
-
-    /// The beacon success sequence across runs.
-    pub fn beacon_sequence(&self) -> &Sequence {
-        &self.beacon
-    }
-
-    /// Total packet transmissions over all runs (energy proxy).
-    pub fn total_transmissions(&self) -> u64 {
-        self.transmissions
-    }
-
     /// Empirical success rate of a task — the validation test statistic
     /// `v = Σ_t ω_τ(t) / κ` of § IV-A.
     pub fn task_hit_rate(&self, t: TaskId) -> f64 {
@@ -117,8 +98,8 @@ mod tests {
         assert_eq!(t.runs(), 2);
         assert_eq!(t.task_sequence(TaskId(0)).to_string(), "11");
         assert_eq!(t.task_sequence(TaskId(1)).to_string(), "01");
-        assert_eq!(t.message_sequence(MsgId(0)).to_string(), "10");
-        assert_eq!(t.total_transmissions(), 20);
+        assert_eq!(t.messages[0].to_string(), "10");
+        assert_eq!(t.transmissions, 20);
         assert_eq!(t.task_hit_rate(TaskId(1)), 0.5);
     }
 

@@ -50,7 +50,7 @@
 //! * **Shutdown** (the `shutdown` operation) stops admission, wakes
 //!   every worker, and lets them drain all accepted requests before
 //!   [`serve`] returns; every accepted request is answered — by its
-//!   result, or by an `error` if its worker died on it.
+//!   result, or by an `error` if its handler panicked.
 //!
 //! All counters land in the global [`netdag_obs`] recorder under the
 //! `serve.*` keys and every request runs inside a `serve.request`
@@ -68,6 +68,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender};
@@ -85,8 +86,7 @@ use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_core::weakly_hard::schedule_weakly_hard_controlled;
 use netdag_obs::{counter, keys, Gauge, SloGate, SloInputs, SloReport, WindowedHist};
 use netdag_runtime::{run_indexed, ExecPolicy};
-use netdag_validation::soft::validate_soft_par;
-use netdag_validation::weakly_hard::validate_weakly_hard_par;
+use netdag_validation::validate_contract;
 
 use crate::cache::{Answer, Lookup, SolutionCache};
 use crate::fingerprint::{fingerprint, mode_fingerprint, Fingerprint};
@@ -167,7 +167,7 @@ pub struct ServeConfig {
 /// A callback each worker runs on every dequeued job, after counting it
 /// in flight and just before its handler, with the job's op and client
 /// id. Tests use it to hold a worker at a gate they open themselves, or
-/// to inject a fault inside a worker. Neither the CLI nor the protocol
+/// to inject a handler panic. Neither the CLI nor the protocol
 /// can set it.
 #[doc(hidden)]
 #[derive(Clone)]
@@ -496,12 +496,9 @@ pub fn serve(listener: TcpListener, cfg: &ServeConfig) -> std::io::Result<ServeR
         scope.spawn(|| accept_loop(&listener, &shared, scope));
         // The shard pools run on the calling thread's fan-out — worker
         // `i` drains shard `i % nshards` — and return only when
-        // shutdown was requested and every queue is drained. A handler
-        // panic ends its worker alone (its connection answers the lost
-        // job), so the drain, log flush and snapshot below still run.
+        // shutdown was requested and every queue is drained.
         run_indexed(ExecPolicy::Threads(pool), pool, |i| {
-            let worker = || worker_loop(&shared, &shared.shards[i % nshards]);
-            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(worker));
+            worker_loop(&shared, &shared.shards[i % nshards]);
         });
     });
     if let Some(log) = shared.access.as_ref() {
@@ -969,23 +966,10 @@ fn handle_batch(shared: &Shared, req: Request) -> Result<Response, String> {
     Ok(resp)
 }
 
-/// Keeps the daemon's live-worker count and the `serve.workers_live`
-/// gauge honest on every exit path, including a panic unwinding out of
-/// a handler.
-struct LiveWorker<'a>(&'a Shared);
-
-impl Drop for LiveWorker<'_> {
-    fn drop(&mut self) {
-        self.0.workers_live.fetch_sub(1, Ordering::SeqCst);
-        self.0.gauges.workers_live.sub(1);
-    }
-}
-
 fn worker_loop(shared: &Shared, shard: &ShardState) {
     shared.workers_live.fetch_add(1, Ordering::SeqCst);
     shared.gauges.workers_live.add(1);
-    let _live = LiveWorker(shared);
-    loop {
+    'jobs: loop {
         let job = {
             let mut queue = lock(&shard.queue);
             loop {
@@ -994,7 +978,7 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
                     break job;
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
+                    break 'jobs;
                 }
                 queue = shard
                     .ready
@@ -1021,37 +1005,46 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
                     ("rid", job.rid.into()),
                 ],
             );
-            if let Some(hook) = &shared.cfg.worker_hook {
-                (hook.0)(job.work.op(), job.work.id());
-            }
-            match &job.work {
-                Work::Single { req, fp } => {
-                    let answer = match req.op.as_str() {
-                        "solve" => handle_solve(shared, shard, req, *fp),
-                        "mode_solve" => handle_mode_solve(shared, shard, req, *fp),
-                        _ => handle_validate(req).map(|resp| (resp, 0)),
-                    };
-                    answer.unwrap_or_else(|reason| (error_response(req.id, &reason), 0))
+            // A panic costs its job, not the worker: it answers an
+            // error and the job is accounted like any other.
+            let handled = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(hook) = &shared.cfg.worker_hook {
+                    (hook.0)(job.work.op(), job.work.id());
                 }
-                // A sub-batch runs sequentially on its owning shard's
-                // worker: items that share a structural family hit or
-                // warm-start against each other within the same batch,
-                // because each completed solve lands in the shard cache
-                // before the next item looks it up.
-                Work::Batch { head_id, items } => {
-                    let mut subs = Vec::with_capacity(items.len());
-                    let mut total_nodes = 0u64;
-                    for (sub, fp) in items {
-                        let (r, n) = handle_solve(shared, shard, sub, Some(*fp))
-                            .unwrap_or_else(|reason| (error_response(sub.id, &reason), 0));
-                        total_nodes += n;
-                        subs.push(r);
+                match &job.work {
+                    Work::Single { req, fp } => {
+                        let answer = match req.op.as_str() {
+                            "solve" => handle_solve(shared, shard, req, *fp),
+                            "mode_solve" => handle_mode_solve(shared, shard, req, *fp),
+                            _ => handle_validate(req).map(|resp| (resp, 0)),
+                        };
+                        answer.unwrap_or_else(|reason| (error_response(req.id, &reason), 0))
                     }
-                    let mut envelope = Response::status(*head_id, STATUS_OK);
-                    envelope.batch = Some(subs);
-                    (envelope, total_nodes)
+                    // A sub-batch runs sequentially on its owning
+                    // shard's worker: items that share a structural
+                    // family hit or warm-start against each other within
+                    // the same batch, because each completed solve lands
+                    // in the shard cache before the next item looks it
+                    // up.
+                    Work::Batch { head_id, items } => {
+                        let mut subs = Vec::with_capacity(items.len());
+                        let mut total_nodes = 0u64;
+                        for (sub, fp) in items {
+                            let (r, n) = handle_solve(shared, shard, sub, Some(*fp))
+                                .unwrap_or_else(|reason| (error_response(sub.id, &reason), 0));
+                            total_nodes += n;
+                            subs.push(r);
+                        }
+                        let mut envelope = Response::status(*head_id, STATUS_OK);
+                        envelope.batch = Some(subs);
+                        (envelope, total_nodes)
+                    }
                 }
-            }
+            }));
+            handled.unwrap_or_else(|_| {
+                let reason = format!("request rid {} failed: its handler panicked", job.rid);
+                (error_response(job.work.id(), &reason), 0)
+            })
         };
         let service_us = service_started
             .elapsed()
@@ -1083,6 +1076,8 @@ fn worker_loop(shared: &Shared, shard: &ShardState) {
         // one reply arrives, so the send can neither block nor fail.
         let _ = job.reply.send(resp);
     }
+    shared.workers_live.fetch_sub(1, Ordering::SeqCst);
+    shared.gauges.workers_live.sub(1);
 }
 
 /// Appends one structured JSON access-log line for a worker-handled
@@ -1598,56 +1593,18 @@ fn handle_validate(req: &Request) -> Result<Response, String> {
     // core count only stops a client from spawning unbounded threads;
     // 0 still means auto.
     let threads = (req.threads.unwrap_or(1) as usize).min(ExecPolicy::Auto.thread_count());
-    let policy = ExecPolicy::from_threads(threads);
     let (soft, weakly_hard) = constraints(req, &names, "validation")?;
-    let mut report = String::new();
-    let mut passed = true;
-    if let Some((f, fss)) = soft {
-        for r in validate_soft_par(
-            &app,
-            &Eq15Statistic::new(fss, 16),
-            &f,
-            &export.schedule,
-            kappa,
-            0.999,
-            seed,
-            policy,
-        ) {
-            passed &= r.passed;
-            report.push_str(&format!(
-                "soft {}: v = {:.4} vs {:.3} (margin {:.4}) → {}\n",
-                app.task(r.task).name,
-                r.observed,
-                r.required,
-                r.margin,
-                if r.passed { "PASS" } else { "FAIL" }
-            ));
-        }
-    }
-    if let Some(f) = weakly_hard {
-        let reports = validate_weakly_hard_par(
-            &app,
-            &Eq13Statistic::new(16),
-            &f,
-            &export.schedule,
-            kappa.min(2_000),
-            trials,
-            seed,
-            policy,
-        )
-        .map_err(|e| format!("adversarial synthesis failed: {e}"))?;
-        for r in reports {
-            passed &= r.passed;
-            report.push_str(&format!(
-                "weakly hard {}: {} held in {}/{} adversarial trials → {}\n",
-                app.task(r.task).name,
-                r.requirement,
-                r.satisfied,
-                r.trials,
-                if r.passed { "PASS" } else { "FAIL" }
-            ));
-        }
-    }
+    let (passed, report) = validate_contract(
+        &app,
+        &export.schedule,
+        soft.as_ref().map(|(f, fss)| (f, *fss)),
+        weakly_hard.as_ref(),
+        kappa,
+        trials,
+        seed,
+        ExecPolicy::from_threads(threads),
+    )
+    .map_err(|e| format!("adversarial synthesis failed: {e}"))?;
     let mut resp = Response::status(req.id, STATUS_OK);
     resp.validation = Some(ValidationReport { passed, report });
     Ok(resp)

@@ -443,7 +443,7 @@ fn validate_errors() {
     c.shutdown();
 }
 
-/// A worker that dies on a job leaves its client a structured error,
+/// A handler that panics on a job leaves its client a structured error,
 /// counted once.
 #[test]
 fn lost_worker_error() {
@@ -460,14 +460,11 @@ fn lost_worker_error() {
     });
     let mut c = Client::connect(addr);
     // The daemon's first queued job gets rid 1.
-    c.expect_request_error(
-        &solve(DOOMED),
-        "request rid 1 lost: its worker exited without answering",
-    );
+    c.expect_request_error(&solve(DOOMED), "request rid 1 failed: its handler panicked");
     c.shutdown();
 }
 
-/// A handler panic costs its job and its worker, not the daemon:
+/// A handler panic costs its job, not the daemon:
 /// `serve` still drains, writes its access log and cache snapshot, and
 /// returns its report.
 #[test]
@@ -497,10 +494,7 @@ fn serve_returns_its_report_after_a_handler_panic() {
     let daemon = std::thread::spawn(move || serve(listener, &cfg));
     let mut c = Client::connect(addr);
     assert_eq!(c.send(&solve(1)).status, STATUS_OK);
-    c.expect_request_error(
-        &solve(DOOMED),
-        "request rid 2 lost: its worker exited without answering",
-    );
+    c.expect_request_error(&solve(DOOMED), "request rid 2 failed: its handler panicked");
     c.shutdown();
 
     let report = daemon
@@ -518,6 +512,32 @@ fn serve_returns_its_report_after_a_handler_panic() {
     for path in [&log_path, &snapshot_path] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+/// A handler panic costs its job, not its worker: a one-worker daemon
+/// still has its worker, nothing left in flight, and answers the next
+/// solve.
+#[test]
+fn a_handler_panic_keeps_its_worker() {
+    let _serial = serial();
+    const DOOMED: u64 = 77;
+    let addr = start_server(ServeConfig {
+        workers: 1,
+        worker_hook: Some(WorkerHook::new(|_op, id| {
+            if id == Some(DOOMED) {
+                panic!("injected worker fault");
+            }
+        })),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    c.expect_request_error(&solve(DOOMED), "request rid 1 failed: its handler panicked");
+    // `health` needs no worker, so it answers even if the panic took
+    // the worker with it; the solve below would then never be popped.
+    let health = c.send(&request("health", 2)).health.expect("health body");
+    assert_eq!((health.in_flight, health.workers_live), (0, 1));
+    assert_eq!(c.send(&solve(3)).status, STATUS_OK);
+    c.shutdown();
 }
 
 /// A deadline that expires before any incumbent answers `error`, but

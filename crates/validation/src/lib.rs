@@ -57,3 +57,75 @@ pub use modes::{
 };
 pub use soft::{hoeffding_margin, validate_soft_par, SoftReport};
 pub use weakly_hard::{validate_weakly_hard_par, WeaklyHardReport};
+
+use netdag_core::app::Application;
+use netdag_core::constraints::{SoftConstraints, WeaklyHardConstraints};
+use netdag_core::schedule::Schedule;
+use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
+use netdag_runtime::ExecPolicy;
+use netdag_weakly_hard::SynthesisError;
+
+/// The § IV-A verdict on a schedule's contract, as `(passed, report)`;
+/// `netdag validate` and the daemon's `validate` op both report it.
+/// Soft constraints go first: `kappa` Monte-Carlo runs per task under
+/// the eq. (15) statistic at `fss`, tested at confidence 0.999. Weakly
+/// hard ones follow: `trials` adversarial runs of `min(kappa, 2000)`
+/// activations per task under eq. (13). Each task adds one `… →
+/// PASS|FAIL` line, and `passed` holds when every line passes.
+///
+/// # Errors
+///
+/// Propagates [`SynthesisError`] from adversarial pattern synthesis.
+#[allow(clippy::too_many_arguments)]
+pub fn validate_contract(
+    app: &Application,
+    schedule: &Schedule,
+    soft: Option<(&SoftConstraints, f64)>,
+    weakly_hard: Option<&WeaklyHardConstraints>,
+    kappa: usize,
+    trials: usize,
+    seed: u64,
+    policy: ExecPolicy,
+) -> Result<(bool, String), SynthesisError> {
+    let mut report = String::new();
+    let mut passed = true;
+    if let Some((f, fss)) = soft {
+        let stat = Eq15Statistic::new(fss, 16);
+        for r in validate_soft_par(app, &stat, f, schedule, kappa, 0.999, seed, policy) {
+            passed &= r.passed;
+            report.push_str(&format!(
+                "soft {}: v = {:.4} vs {:.3} (margin {:.4}) → {}\n",
+                app.task(r.task).name,
+                r.observed,
+                r.required,
+                r.margin,
+                if r.passed { "PASS" } else { "FAIL" }
+            ));
+        }
+    }
+    if let Some(f) = weakly_hard {
+        let stat = Eq13Statistic::new(16);
+        let reports = validate_weakly_hard_par(
+            app,
+            &stat,
+            f,
+            schedule,
+            kappa.min(2_000),
+            trials,
+            seed,
+            policy,
+        )?;
+        for r in reports {
+            passed &= r.passed;
+            report.push_str(&format!(
+                "weakly hard {}: {} held in {}/{} adversarial trials → {}\n",
+                app.task(r.task).name,
+                r.requirement,
+                r.satisfied,
+                r.trials,
+                if r.passed { "PASS" } else { "FAIL" }
+            ));
+        }
+    }
+    Ok((passed, report))
+}

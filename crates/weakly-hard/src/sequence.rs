@@ -20,7 +20,6 @@ use std::ops::BitAnd;
 /// let s = Sequence::from_str_lossy("11011");
 /// assert_eq!(s.len(), 5);
 /// assert_eq!(s.count_hits(), 4);
-/// assert_eq!(s.count_misses(), 1);
 /// assert!(s.get(0).unwrap() && !s.get(2).unwrap());
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
@@ -81,11 +80,6 @@ impl Sequence {
             .collect()
     }
 
-    /// Builds a sequence from booleans (`true` = hit).
-    pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        bits.into_iter().collect()
-    }
-
     /// Number of activations recorded.
     pub fn len(&self) -> usize {
         self.len
@@ -135,11 +129,6 @@ impl Sequence {
     /// Total number of hits.
     pub fn count_hits(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Total number of misses.
-    pub fn count_misses(&self) -> usize {
-        self.len - self.count_hits()
     }
 
     /// Fraction of hits, in `[0, 1]`; `1.0` for the empty sequence.
@@ -204,21 +193,6 @@ impl Sequence {
             } else {
                 run += 1;
                 best = best.max(run);
-            }
-        }
-        best
-    }
-
-    /// Length of the longest run of consecutive hits inside every window —
-    /// specifically, the maximum over the sequence of consecutive-hit runs.
-    pub fn longest_hit_run(&self) -> usize {
-        let (mut best, mut run) = (0usize, 0usize);
-        for hit in self.iter() {
-            if hit {
-                run += 1;
-                best = best.max(run);
-            } else {
-                run = 0;
             }
         }
         best
@@ -439,7 +413,6 @@ mod tests {
     fn counts() {
         let s = Sequence::from_str_lossy("110100");
         assert_eq!(s.count_hits(), 3);
-        assert_eq!(s.count_misses(), 3);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 
@@ -496,10 +469,8 @@ mod tests {
     fn runs() {
         let s = Sequence::from_str_lossy("1001110001");
         assert_eq!(s.longest_miss_run(), 3);
-        assert_eq!(s.longest_hit_run(), 3);
         assert_eq!(Sequence::new().longest_miss_run(), 0);
         assert_eq!(Sequence::all_misses(4).longest_miss_run(), 4);
-        assert_eq!(Sequence::all_hits(4).longest_hit_run(), 4);
     }
 
     #[test]
