@@ -4,7 +4,10 @@ use std::error::Error;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use netdag_core::config::SchedulerConfig;
+use netdag_core::config::{Backend, RoundStructure, SchedulerConfig};
+use netdag_scenario::{soak_serve_config, SoakConfig};
+use netdag_serve::ServeConfig;
+use netdag_validation::ValidationSettings;
 
 /// Which network statistic the scheduler consumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,27 +31,10 @@ pub struct ScheduleOpts {
     /// synthesizing a mode set. Conflicts with `--app`, `--soft` and
     /// `--weakly-hard`.
     pub modes: Option<PathBuf>,
-    /// `exact` (default) or `greedy`.
-    pub greedy: bool,
-    /// `χ` domain bound.
-    pub chi_max: u32,
-    /// Beacon `χ`.
-    pub beacon_chi: u32,
-    /// Per-message rounds instead of per-level.
-    pub per_message_rounds: bool,
-    /// Count beacons in `pred(τ)`.
-    pub include_beacons: bool,
-    /// Solver configurations raced by the exact backend (0 or 1 =
-    /// classic single-engine search).
-    pub portfolio: u32,
-    /// Worker threads for the portfolio race: 0 = auto (one per core),
-    /// 1 = serial, n = exactly n. Results are identical at every
-    /// setting.
-    pub threads: usize,
-    /// Disable the relaxation lower bound and CPM presolve (A/B knob;
-    /// never changes the optimum, only search effort and whether
-    /// infeasible timing is explained instead of searched).
-    pub no_lb: bool,
+    /// Scheduler settings: `--greedy` (backend), `--chi-max`,
+    /// `--beacon-chi`, `--per-message-rounds`, `--include-beacons`,
+    /// `--portfolio`, `--threads` (portfolio workers) and `--no-lb`.
+    pub config: SchedulerConfig,
     /// Statistic choice.
     pub stat: StatChoice,
     /// Where to write the schedule JSON.
@@ -75,16 +61,9 @@ pub struct ValidateOpts {
     pub weakly_hard: Option<PathBuf>,
     /// Statistic choice.
     pub stat: StatChoice,
-    /// Simulated runs per task.
-    pub kappa: usize,
-    /// Adversarial trials (weakly hard).
-    pub trials: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Worker threads for the simulation fan-out: 0 = auto (one per
-    /// core), 1 = serial, n = exactly n. Results are identical at every
-    /// setting.
-    pub threads: usize,
+    /// Validation settings: `--kappa`, `--trials`, `--seed` and
+    /// `--threads`.
+    pub settings: ValidationSettings,
     /// Where to write the metrics report JSON (`netdag-obs/1` schema).
     pub metrics: Option<PathBuf>,
     /// Where to write the Chrome Trace Event JSON (a `netdag-trace/1`
@@ -100,37 +79,14 @@ pub struct ServeOpts {
     /// Port to bind (0 = ephemeral; the chosen port is printed and
     /// optionally written to `--port-file`).
     pub port: u16,
-    /// Consistent-hash shards, each with its own cache and worker pool.
-    pub shards: usize,
-    /// Worker threads solving requests, per shard.
-    pub workers: usize,
-    /// Admission queue bound per shard (requests beyond it are
-    /// rejected).
-    pub queue: usize,
-    /// Answer cache bound per shard, `solve` and `mode_solve` answers
-    /// together (LRU eviction beyond it).
-    pub cache: usize,
-    /// Engine node budget between deadline polls.
-    pub step_nodes: u64,
     /// Where to write the bound port as text (for scripts binding
     /// port 0).
     pub port_file: Option<PathBuf>,
-    /// Structured JSON access log: one line per worker-handled request.
-    pub access_log: Option<PathBuf>,
-    /// Versioned cache snapshot: restored (re-ringed) on start, written
-    /// atomically on graceful drain.
-    pub cache_snapshot: Option<PathBuf>,
-    /// Rewrite the `--metrics` file (atomically) every this many
-    /// completed requests, 0 = only at shutdown. Requires `--metrics`.
-    pub metrics_interval: u64,
-    /// SLO gate: rolling p99 latency ceiling (µs) checked at shutdown.
-    pub slo_p99_us: Option<u64>,
-    /// SLO gate: minimum cache hit rate over all lookups.
-    pub slo_hit_rate: Option<f64>,
-    /// SLO gate: maximum tolerated deadline-expired solves.
-    pub slo_max_deadline_expired: Option<u64>,
-    /// Where to write the metrics report JSON (`netdag-obs/1` schema).
-    pub metrics: Option<PathBuf>,
+    /// Daemon settings: `--shards`, `--workers`, `--queue`, `--cache`,
+    /// `--step-nodes`, `--access-log`, `--cache-snapshot`,
+    /// `--metrics-interval`, the `--slo-*` gate, and `--metrics` as
+    /// `metrics_path`.
+    pub config: ServeConfig,
     /// Where to write the Chrome Trace Event JSON.
     pub trace: Option<PathBuf>,
 }
@@ -139,23 +95,15 @@ pub struct ServeOpts {
 /// daemon and check end-to-end invariants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakOpts {
-    /// Corpus seed; every scenario is a pure function of
-    /// `(seed, index)`.
-    pub seed: u64,
-    /// Number of scenarios to stream.
-    pub scenarios: u64,
+    /// Corpus settings: `--seed`, `--scenarios`, `--runs` and
+    /// `--batch`.
+    pub config: SoakConfig,
     /// Replay exactly one scenario index (the recipe printed with every
     /// violation) instead of a range starting at 0.
     pub index: Option<u64>,
-    /// Shards of the self-hosted daemon.
-    pub shards: usize,
-    /// Worker threads per shard of the self-hosted daemon.
-    pub workers: usize,
-    /// Bus replay runs per scenario (scenarios with a mobility schedule
-    /// bring their own phase durations).
-    pub runs: u32,
-    /// Batch-revisit group size (0 disables the `batch_solve` leg).
-    pub batch: usize,
+    /// The self-hosted daemon's settings: `soak_serve_config`'s, with
+    /// `--shards` and `--workers` setting the pool size.
+    pub daemon: ServeConfig,
     /// Target an already-running daemon (`host:port`) instead of
     /// self-hosting one; skips the access-log join and the SLO verdict.
     pub addr: Option<String>,
@@ -220,7 +168,7 @@ impl Command {
             Command::Inspect { metrics, trace, .. } => (metrics.as_deref(), trace.as_deref()),
             Command::Schedule(o) => (o.metrics.as_deref(), o.trace.as_deref()),
             Command::Validate(o) => (o.metrics.as_deref(), o.trace.as_deref()),
-            Command::Serve(o) => (o.metrics.as_deref(), o.trace.as_deref()),
+            Command::Serve(o) => (o.config.metrics_path.as_deref(), o.trace.as_deref()),
             Command::Soak(o) => (o.metrics.as_deref(), o.trace.as_deref()),
         }
     }
@@ -497,20 +445,12 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             })
         }
         "schedule" => {
-            let defaults = SchedulerConfig::default();
             let mut opts = ScheduleOpts {
                 app: PathBuf::new(),
                 soft: None,
                 weakly_hard: None,
                 modes: None,
-                greedy: false,
-                chi_max: defaults.chi_max,
-                beacon_chi: defaults.beacon_chi,
-                per_message_rounds: false,
-                include_beacons: false,
-                portfolio: 0,
-                threads: 0,
-                no_lb: false,
+                config: SchedulerConfig::default(),
                 stat: StatChoice::Eq13,
                 out: None,
                 timeline: false,
@@ -532,14 +472,16 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                         opts.weakly_hard = Some(PathBuf::from(cur.value("--weakly-hard")?))
                     }
                     "--modes" => opts.modes = Some(PathBuf::from(cur.value("--modes")?)),
-                    "--greedy" => opts.greedy = true,
-                    "--chi-max" => opts.chi_max = cur.parsed("--chi-max")?,
-                    "--beacon-chi" => opts.beacon_chi = cur.parsed("--beacon-chi")?,
-                    "--per-message-rounds" => opts.per_message_rounds = true,
-                    "--include-beacons" => opts.include_beacons = true,
-                    "--portfolio" => opts.portfolio = cur.parsed("--portfolio")?,
-                    "--threads" => opts.threads = cur.parsed("--threads")?,
-                    "--no-lb" => opts.no_lb = true,
+                    "--greedy" => opts.config.backend = Backend::Greedy,
+                    "--chi-max" => opts.config.chi_max = cur.parsed("--chi-max")?,
+                    "--beacon-chi" => opts.config.beacon_chi = cur.parsed("--beacon-chi")?,
+                    "--per-message-rounds" => {
+                        opts.config.round_structure = RoundStructure::PerMessage
+                    }
+                    "--include-beacons" => opts.config.include_beacons = true,
+                    "--portfolio" => opts.config.portfolio = cur.parsed("--portfolio")?,
+                    "--threads" => opts.config.solver_threads = cur.parsed("--threads")?,
+                    "--no-lb" => opts.config.lower_bound = false,
                     "--stat" => opts.stat = parse_stat(&cur.value("--stat")?)?,
                     "--out" => opts.out = Some(PathBuf::from(cur.value("--out")?)),
                     "--timeline" => opts.timeline = true,
@@ -567,10 +509,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                 soft: None,
                 weakly_hard: None,
                 stat: StatChoice::Eq13,
-                kappa: 10_000,
-                trials: 50,
-                seed: 2020,
-                threads: 1,
+                settings: ValidationSettings::default(),
                 metrics: None,
                 trace: None,
             };
@@ -594,15 +533,15 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                     }
                     "--stat" => opts.stat = parse_stat(&cur.value("--stat")?)?,
                     "--kappa" => {
-                        opts.kappa = cur.parsed("--kappa")?;
+                        opts.settings.kappa = cur.parsed("--kappa")?;
                         // Zero samples validate nothing; the soft margin divides by κ.
-                        if opts.kappa == 0 {
+                        if opts.settings.kappa == 0 {
                             return Err(ParseArgsError::BadValue("--kappa".into(), "0".into()));
                         }
                     }
-                    "--trials" => opts.trials = cur.parsed("--trials")?,
-                    "--seed" => opts.seed = cur.parsed("--seed")?,
-                    "--threads" => opts.threads = cur.parsed("--threads")?,
+                    "--trials" => opts.settings.trials = cur.parsed("--trials")?,
+                    "--seed" => opts.settings.seed = cur.parsed("--seed")?,
+                    "--threads" => opts.settings.threads = cur.parsed("--threads")?,
                     other => return Err(ParseArgsError::UnknownFlag(other.to_owned())),
                 }
             }
@@ -618,68 +557,59 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
             let mut opts = ServeOpts {
                 host: "127.0.0.1".to_owned(),
                 port: 0,
-                shards: 1,
-                workers: 2,
-                queue: 16,
-                cache: 64,
-                step_nodes: 4096,
                 port_file: None,
-                access_log: None,
-                cache_snapshot: None,
-                metrics_interval: 0,
-                slo_p99_us: None,
-                slo_hit_rate: None,
-                slo_max_deadline_expired: None,
-                metrics: None,
+                config: ServeConfig::default(),
                 trace: None,
             };
+            let cfg = &mut opts.config;
             while let Some(flag) = cur.inner.next() {
-                if common_flag(flag.as_str(), &mut cur, &mut opts.metrics, &mut opts.trace)? {
+                if common_flag(
+                    flag.as_str(),
+                    &mut cur,
+                    &mut cfg.metrics_path,
+                    &mut opts.trace,
+                )? {
                     continue;
                 }
                 match flag.as_str() {
                     "--host" => opts.host = cur.value("--host")?,
                     "--port" => opts.port = cur.parsed("--port")?,
-                    "--shards" => opts.shards = cur.parsed("--shards")?,
-                    "--workers" => opts.workers = cur.parsed("--workers")?,
-                    "--queue" => opts.queue = cur.parsed("--queue")?,
-                    "--cache" => opts.cache = cur.parsed("--cache")?,
-                    "--step-nodes" => opts.step_nodes = cur.parsed("--step-nodes")?,
+                    "--shards" => cfg.shards = cur.parsed("--shards")?,
+                    "--workers" => cfg.workers = cur.parsed("--workers")?,
+                    "--queue" => cfg.queue_capacity = cur.parsed("--queue")?,
+                    "--cache" => cfg.cache_capacity = cur.parsed("--cache")?,
+                    "--step-nodes" => cfg.step_nodes = cur.parsed("--step-nodes")?,
                     "--port-file" => {
                         opts.port_file = Some(PathBuf::from(cur.value("--port-file")?))
                     }
                     "--access-log" => {
-                        opts.access_log = Some(PathBuf::from(cur.value("--access-log")?))
+                        cfg.access_log = Some(PathBuf::from(cur.value("--access-log")?))
                     }
                     "--cache-snapshot" => {
-                        opts.cache_snapshot = Some(PathBuf::from(cur.value("--cache-snapshot")?))
+                        cfg.cache_snapshot = Some(PathBuf::from(cur.value("--cache-snapshot")?))
                     }
                     "--metrics-interval" => {
-                        opts.metrics_interval = cur.parsed("--metrics-interval")?
+                        cfg.metrics_interval = cur.parsed("--metrics-interval")?
                     }
-                    "--slo-p99-us" => opts.slo_p99_us = Some(cur.parsed("--slo-p99-us")?),
-                    "--slo-hit-rate" => opts.slo_hit_rate = Some(cur.parsed("--slo-hit-rate")?),
+                    "--slo-p99-us" => cfg.slo.max_p99_us = Some(cur.parsed("--slo-p99-us")?),
+                    "--slo-hit-rate" => cfg.slo.min_hit_rate = Some(cur.parsed("--slo-hit-rate")?),
                     "--slo-max-deadline-expired" => {
-                        opts.slo_max_deadline_expired =
+                        cfg.slo.max_deadline_expired =
                             Some(cur.parsed("--slo-max-deadline-expired")?)
                     }
                     other => return Err(ParseArgsError::UnknownFlag(other.to_owned())),
                 }
             }
-            if opts.metrics_interval > 0 && opts.metrics.is_none() {
+            if cfg.metrics_interval > 0 && cfg.metrics_path.is_none() {
                 return Err(ParseArgsError::MissingFlag("metrics"));
             }
             Ok(Command::Serve(opts))
         }
         "soak" => {
             let mut opts = SoakOpts {
-                seed: 2020,
-                scenarios: 100,
+                config: SoakConfig::default(),
                 index: None,
-                shards: 2,
-                workers: 2,
-                runs: 10,
-                batch: 8,
+                daemon: soak_serve_config(2, 2, None),
                 addr: None,
                 out: None,
                 metrics: None,
@@ -690,13 +620,13 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Pa
                     continue;
                 }
                 match flag.as_str() {
-                    "--seed" => opts.seed = cur.parsed("--seed")?,
-                    "--scenarios" => opts.scenarios = cur.parsed("--scenarios")?,
+                    "--seed" => opts.config.master_seed = cur.parsed("--seed")?,
+                    "--scenarios" => opts.config.scenarios = cur.parsed("--scenarios")?,
                     "--index" => opts.index = Some(cur.parsed("--index")?),
-                    "--shards" => opts.shards = cur.parsed("--shards")?,
-                    "--workers" => opts.workers = cur.parsed("--workers")?,
-                    "--runs" => opts.runs = cur.parsed("--runs")?,
-                    "--batch" => opts.batch = cur.parsed("--batch")?,
+                    "--shards" => opts.daemon.shards = cur.parsed("--shards")?,
+                    "--workers" => opts.daemon.workers = cur.parsed("--workers")?,
+                    "--runs" => opts.config.replay_runs = cur.parsed("--runs")?,
+                    "--batch" => opts.config.batch = cur.parsed("--batch")?,
                     "--addr" => opts.addr = Some(cur.value("--addr")?),
                     "--out" => opts.out = Some(PathBuf::from(cur.value("--out")?)),
                     other => return Err(ParseArgsError::UnknownFlag(other.to_owned())),
@@ -873,12 +803,17 @@ mod tests {
         let Command::Schedule(o) = cmd else {
             panic!("wrong command");
         };
-        assert!(o.greedy && o.per_message_rounds && o.include_beacons && o.timeline);
-        assert_eq!(o.chi_max, 10);
-        assert_eq!(o.beacon_chi, 3);
-        assert_eq!(o.portfolio, 4);
-        assert_eq!(o.threads, 2);
-        assert!(o.no_lb);
+        assert!(
+            o.config.backend == Backend::Greedy
+                && o.config.round_structure == RoundStructure::PerMessage
+                && o.config.include_beacons
+                && o.timeline
+        );
+        assert_eq!(o.config.chi_max, 10);
+        assert_eq!(o.config.beacon_chi, 3);
+        assert_eq!(o.config.portfolio, 4);
+        assert_eq!(o.config.solver_threads, 2);
+        assert!(!o.config.lower_bound);
         assert_eq!(o.stat, StatChoice::Eq15(1.25));
         assert_eq!(o.out, Some(PathBuf::from("s.json")));
     }
@@ -888,13 +823,13 @@ mod tests {
         let Command::Schedule(o) = parse("schedule --app a.json").unwrap() else {
             panic!("wrong command");
         };
-        assert!(!o.greedy);
-        assert_eq!(o.chi_max, 8);
+        assert!(o.config.backend != Backend::Greedy);
+        assert_eq!(o.config.chi_max, 8);
         assert_eq!(o.stat, StatChoice::Eq13);
         assert_eq!(o.soft, None);
-        assert_eq!(o.portfolio, 0);
-        assert_eq!(o.threads, 0);
-        assert!(!o.no_lb);
+        assert_eq!(o.config.portfolio, 0);
+        assert_eq!(o.config.solver_threads, 0);
+        assert!(o.config.lower_bound);
     }
 
     #[test]
@@ -940,21 +875,21 @@ mod tests {
         .unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(o.kappa, 500);
-        assert_eq!(o.trials, 9);
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.threads, 4);
+        assert_eq!(o.settings.kappa, 500);
+        assert_eq!(o.settings.trials, 9);
+        assert_eq!(o.settings.seed, 7);
+        assert_eq!(o.settings.threads, 4);
         // Threads defaults to serial; 0 (= auto) parses.
         let Command::Validate(d) = parse("validate --app a.json --schedule s.json").unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(d.threads, 1);
+        assert_eq!(d.settings.threads, 1);
         let Command::Validate(z) =
             parse("validate --app a.json --schedule s.json --threads 0").unwrap()
         else {
             panic!("wrong command");
         };
-        assert_eq!(z.threads, 0);
+        assert_eq!(z.settings.threads, 0);
         assert_eq!(
             parse("validate --app a.json").unwrap_err(),
             ParseArgsError::MissingFlag("schedule")
@@ -968,14 +903,22 @@ mod tests {
         };
         assert_eq!(d.host, "127.0.0.1");
         assert_eq!(d.port, 0);
-        assert_eq!((d.shards, d.workers, d.queue, d.cache), (1, 2, 16, 64));
-        assert_eq!(d.step_nodes, 4096);
-        assert_eq!(d.port_file, None);
-        assert_eq!(d.access_log, None);
-        assert_eq!(d.cache_snapshot, None);
-        assert_eq!(d.metrics_interval, 0);
+        let c = &d.config;
         assert_eq!(
-            (d.slo_p99_us, d.slo_hit_rate, d.slo_max_deadline_expired),
+            (c.shards, c.workers, c.queue_capacity, c.cache_capacity),
+            (1, 2, 16, 64)
+        );
+        assert_eq!(c.step_nodes, 4096);
+        assert_eq!(d.port_file, None);
+        assert_eq!(c.access_log, None);
+        assert_eq!(c.cache_snapshot, None);
+        assert_eq!(c.metrics_interval, 0);
+        assert_eq!(
+            (
+                c.slo.max_p99_us,
+                c.slo.min_hit_rate,
+                c.slo.max_deadline_expired
+            ),
             (None, None, None)
         );
         let Command::Serve(o) = parse(
@@ -990,16 +933,20 @@ mod tests {
         };
         assert_eq!(o.host, "0.0.0.0");
         assert_eq!(o.port, 9000);
-        assert_eq!((o.shards, o.workers, o.queue, o.cache), (4, 4, 8, 32));
-        assert_eq!(o.step_nodes, 1024);
+        let c = &o.config;
+        assert_eq!(
+            (c.shards, c.workers, c.queue_capacity, c.cache_capacity),
+            (4, 4, 8, 32)
+        );
+        assert_eq!(c.step_nodes, 1024);
         assert_eq!(o.port_file, Some(PathBuf::from("p.txt")));
-        assert_eq!(o.access_log, Some(PathBuf::from("a.ndjson")));
-        assert_eq!(o.cache_snapshot, Some(PathBuf::from("snap.json")));
-        assert_eq!(o.metrics_interval, 50);
-        assert_eq!(o.slo_p99_us, Some(250_000));
-        assert_eq!(o.slo_hit_rate, Some(0.5));
-        assert_eq!(o.slo_max_deadline_expired, Some(0));
-        assert_eq!(o.metrics, Some(PathBuf::from("m.json")));
+        assert_eq!(c.access_log, Some(PathBuf::from("a.ndjson")));
+        assert_eq!(c.cache_snapshot, Some(PathBuf::from("snap.json")));
+        assert_eq!(c.metrics_interval, 50);
+        assert_eq!(c.slo.max_p99_us, Some(250_000));
+        assert_eq!(c.slo.min_hit_rate, Some(0.5));
+        assert_eq!(c.slo.max_deadline_expired, Some(0));
+        assert_eq!(c.metrics_path, Some(PathBuf::from("m.json")));
         assert_eq!(o.trace, Some(PathBuf::from("t.json")));
         assert!(matches!(
             parse("serve --bogus").unwrap_err(),
@@ -1018,12 +965,12 @@ mod tests {
         let Command::Soak(d) = parse("soak").unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(d.seed, 2020);
-        assert_eq!(d.scenarios, 100);
+        assert_eq!(d.config.master_seed, 2020);
+        assert_eq!(d.config.scenarios, 100);
         assert_eq!(d.index, None);
-        assert_eq!((d.shards, d.workers), (2, 2));
-        assert_eq!(d.runs, 10);
-        assert_eq!(d.batch, 8);
+        assert_eq!((d.daemon.shards, d.daemon.workers), (2, 2));
+        assert_eq!(d.config.replay_runs, 10);
+        assert_eq!(d.config.batch, 8);
         assert_eq!(d.addr, None);
         assert_eq!(d.out, None);
         let Command::Soak(o) = parse(
@@ -1034,12 +981,12 @@ mod tests {
         .unwrap() else {
             panic!("wrong command");
         };
-        assert_eq!(o.seed, 7);
-        assert_eq!(o.scenarios, 500);
+        assert_eq!(o.config.master_seed, 7);
+        assert_eq!(o.config.scenarios, 500);
         assert_eq!(o.index, Some(42));
-        assert_eq!((o.shards, o.workers), (4, 3));
-        assert_eq!(o.runs, 6);
-        assert_eq!(o.batch, 16);
+        assert_eq!((o.daemon.shards, o.daemon.workers), (4, 3));
+        assert_eq!(o.config.replay_runs, 6);
+        assert_eq!(o.config.batch, 16);
         assert_eq!(o.addr, Some("127.0.0.1:9000".to_owned()));
         assert_eq!(o.out, Some(PathBuf::from("soak.json")));
         assert_eq!(o.metrics, Some(PathBuf::from("m.json")));

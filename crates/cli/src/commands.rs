@@ -6,14 +6,14 @@ use std::fs;
 use std::path::Path;
 
 use netdag_core::app::Application;
-use netdag_core::config::{Backend, RoundStructure, ScheduleError, SchedulerConfig};
+use netdag_core::config::ScheduleError;
 use netdag_core::constraints::WeaklyHardConstraints;
 use netdag_core::modes::{schedule_modes, ModesSpec};
+use netdag_core::schedule::FeasibilityError;
 use netdag_core::soft::schedule_soft;
 use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_core::weakly_hard::schedule_weakly_hard;
 use netdag_obs::keys;
-use netdag_runtime::ExecPolicy;
 use netdag_validation::validate_contract;
 
 use crate::args::{
@@ -54,6 +54,8 @@ pub enum CliError {
     NothingToValidate,
     /// A trace file could not be parsed (`trace --check`).
     Trace(String),
+    /// The schedule file was not made for the application file.
+    ScheduleShape(FeasibilityError),
 }
 
 impl fmt::Display for CliError {
@@ -69,6 +71,7 @@ impl fmt::Display for CliError {
                 write!(f, "validate needs --soft and/or --weakly-hard constraints")
             }
             CliError::Trace(msg) => write!(f, "invalid trace: {msg}"),
+            CliError::ScheduleShape(e) => write!(f, "schedule does not fit the app: {e}"),
         }
     }
 }
@@ -93,6 +96,16 @@ fn load_app(
 ) -> Result<(Application, Vec<(String, netdag_core::app::TaskId)>), CliError> {
     let spec: AppSpec = read_json(path)?;
     Ok(spec.build()?)
+}
+
+/// Reads an exported schedule and checks that it is shaped for `app`.
+fn load_schedule(path: &Path, app: &Application) -> Result<ScheduleExport, CliError> {
+    let export: ScheduleExport = read_json(path)?;
+    export
+        .schedule
+        .check_shape(app)
+        .map_err(CliError::ScheduleShape)?;
+    Ok(export)
 }
 
 /// Appends a note to the command's stderr summary.
@@ -172,7 +185,7 @@ pub fn run(command: &Command) -> Result<Output, CliError> {
         if let Command::Validate(opts) = command {
             delta
                 .meta
-                .insert("threads".into(), opts.threads.to_string());
+                .insert("threads".into(), opts.settings.threads.to_string());
         }
         fs::write(path, delta.to_json())
             .map_err(|e| CliError::Io(path.display().to_string(), e))?;
@@ -252,25 +265,8 @@ fn serve_daemon(opts: &ServeOpts) -> Result<Output, CliError> {
         fs::write(path, addr.port().to_string())
             .map_err(|e| CliError::Io(path.display().to_string(), e))?;
     }
-    let cfg = netdag_serve::ServeConfig {
-        shards: opts.shards,
-        workers: opts.workers,
-        queue_capacity: opts.queue,
-        cache_capacity: opts.cache,
-        step_nodes: opts.step_nodes,
-        access_log: opts.access_log.clone(),
-        cache_snapshot: opts.cache_snapshot.clone(),
-        metrics_path: opts.metrics.clone(),
-        metrics_interval: opts.metrics_interval,
-        slo: netdag_obs::SloGate {
-            max_p99_us: opts.slo_p99_us,
-            min_hit_rate: opts.slo_hit_rate,
-            max_deadline_expired: opts.slo_max_deadline_expired,
-        },
-        ..netdag_serve::ServeConfig::default()
-    };
-    let report =
-        netdag_serve::serve(listener, &cfg).map_err(|e| CliError::Io(addr.to_string(), e))?;
+    let report = netdag_serve::serve(listener, &opts.config)
+        .map_err(|e| CliError::Io(addr.to_string(), e))?;
     let mut text = format!(
         "served {} requests ({} rejected, {} cache hits, {} warm starts, {} cold solves, \
          {} deadline expiries, {} restored from snapshot)\n",
@@ -304,16 +300,10 @@ fn serve_daemon(opts: &ServeOpts) -> Result<Output, CliError> {
 /// when every end-to-end invariant held and (when self-hosting) the
 /// daemon's shutdown SLO verdict passed.
 fn soak(opts: &SoakOpts) -> Result<Output, CliError> {
-    use netdag_scenario::{run_soak, soak_serve_config, spawn_daemon, SoakConfig};
+    use netdag_scenario::{run_soak, spawn_daemon};
 
     let fast = std::env::var("NETDAG_SOAK_FAST").is_ok_and(|v| v != "0");
-    let mut cfg = SoakConfig {
-        master_seed: opts.seed,
-        scenarios: opts.scenarios,
-        replay_runs: opts.runs,
-        batch: opts.batch,
-        ..SoakConfig::default()
-    };
+    let mut cfg = opts.config.clone();
     if let Some(index) = opts.index {
         // Violation-recipe replay: exactly the named scenario.
         cfg.start_index = index;
@@ -344,7 +334,10 @@ fn soak(opts: &SoakOpts) -> Result<Output, CliError> {
         None => {
             let log_path =
                 std::env::temp_dir().join(format!("netdag-soak-{}.ndjson", std::process::id()));
-            let serve_cfg = soak_serve_config(opts.shards, opts.workers, Some(log_path.clone()));
+            let serve_cfg = netdag_serve::ServeConfig {
+                access_log: Some(log_path.clone()),
+                ..opts.daemon.clone()
+            };
             let (sockaddr, handle) =
                 spawn_daemon(serve_cfg).map_err(|e| CliError::Io("127.0.0.1:0".into(), e))?;
             let soak_result = run_soak(sockaddr, &cfg);
@@ -477,29 +470,6 @@ fn inspect(path: &Path) -> Result<Output, CliError> {
     })
 }
 
-fn config_from(opts: &ScheduleOpts) -> SchedulerConfig {
-    let default = SchedulerConfig::default();
-    SchedulerConfig {
-        beacon_chi: opts.beacon_chi,
-        chi_max: opts.chi_max,
-        backend: if opts.greedy {
-            Backend::Greedy
-        } else {
-            default.backend
-        },
-        round_structure: if opts.per_message_rounds {
-            RoundStructure::PerMessage
-        } else {
-            RoundStructure::PerLevel
-        },
-        include_beacons: opts.include_beacons,
-        portfolio: opts.portfolio,
-        solver_threads: opts.threads,
-        lower_bound: !opts.no_lb,
-        ..default
-    }
-}
-
 /// Renders the infeasibility variants of [`ScheduleError`] as a failed
 /// (but not erroneous) [`Output`]; every other variant stays an error.
 fn infeasible_output(err: ScheduleError) -> Result<Output, CliError> {
@@ -545,8 +515,7 @@ fn infeasible_output(err: ScheduleError) -> Result<Output, CliError> {
 /// when `--out` is given.
 fn schedule_multi_mode(opts: &ScheduleOpts, modes_path: &Path) -> Result<Output, CliError> {
     let spec: ModesSpec = read_json(modes_path)?;
-    let cfg = config_from(opts);
-    let outcome = match schedule_modes(&spec, &cfg) {
+    let outcome = match schedule_modes(&spec, &opts.config) {
         Ok(o) => o,
         Err(e) => return infeasible_output(e),
     };
@@ -596,7 +565,7 @@ fn schedule(opts: &ScheduleOpts) -> Result<Output, CliError> {
         return schedule_multi_mode(opts, modes_path);
     }
     let (app, names) = load_app(&opts.app)?;
-    let cfg = config_from(opts);
+    let cfg = &opts.config;
     let outcome = if let Some(soft_path) = &opts.soft {
         let StatChoice::Eq15(fss) = opts.stat else {
             return Err(CliError::StatMismatch(
@@ -605,7 +574,7 @@ fn schedule(opts: &ScheduleOpts) -> Result<Output, CliError> {
         };
         let spec: SoftSpec = read_json(soft_path)?;
         let f = spec.build(&names)?;
-        schedule_soft(&app, &Eq15Statistic::new(fss, cfg.chi_max), &f, &cfg)
+        schedule_soft(&app, &Eq15Statistic::new(fss, cfg.chi_max), &f, cfg)
     } else {
         let StatChoice::Eq13 = opts.stat else {
             return Err(CliError::StatMismatch(
@@ -619,7 +588,7 @@ fn schedule(opts: &ScheduleOpts) -> Result<Output, CliError> {
             }
             None => WeaklyHardConstraints::new(),
         };
-        schedule_weakly_hard(&app, &Eq13Statistic::new(cfg.chi_max), &f, &cfg)
+        schedule_weakly_hard(&app, &Eq13Statistic::new(cfg.chi_max), &f, cfg)
     };
     let outcome = match outcome {
         Ok(o) => o,
@@ -672,7 +641,7 @@ fn validate(opts: &ValidateOpts) -> Result<Output, CliError> {
         return Err(CliError::NothingToValidate);
     }
     let (app, names) = load_app(&opts.app)?;
-    let export: ScheduleExport = read_json(&opts.schedule)?;
+    let export = load_schedule(&opts.schedule, &app)?;
     if netdag_trace::enabled() {
         netdag_trace::inject(replay::bus_timeline(&app, &export.schedule));
     }
@@ -701,10 +670,7 @@ fn validate(opts: &ValidateOpts) -> Result<Output, CliError> {
         &export.schedule,
         soft.as_ref().map(|(f, fss)| (f, *fss)),
         weakly_hard.as_ref(),
-        opts.kappa,
-        opts.trials,
-        opts.seed,
-        ExecPolicy::from_threads(opts.threads),
+        &opts.settings,
     )
     .map_err(|e| CliError::Synthesis(e.to_string()))?;
     Ok(Output {
@@ -743,7 +709,7 @@ fn trace_command(opts: &TraceOpts) -> Result<Output, CliError> {
         unreachable!("parse_args enforces --app/--schedule/--out in replay mode");
     };
     let (app, _) = load_app(app_path)?;
-    let export: ScheduleExport = read_json(sched_path)?;
+    let export = load_schedule(sched_path, &app)?;
     let trace = replay::bus_timeline(&app, &export.schedule);
     let report = trace
         .check()

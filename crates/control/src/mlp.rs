@@ -69,11 +69,6 @@ impl Mlp {
         out
     }
 
-    /// The hidden width `H`.
-    pub fn hidden_width(&self) -> usize {
-        self.hidden
-    }
-
     /// Raw network output in `[-1, 1]` before force scaling.
     pub fn forward(&self, features: &[f64; 4]) -> f64 {
         let mut acc = self.b2;
@@ -106,7 +101,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let mlp = Mlp::random(8, 10.0, &mut rng);
         assert_eq!(mlp.to_flat().len(), Mlp::param_count(8));
-        assert_eq!(mlp.hidden_width(), 8);
+        assert_eq!(mlp.hidden, 8);
     }
 
     #[test]

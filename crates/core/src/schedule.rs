@@ -201,13 +201,16 @@ impl Schedule {
         self.rounds.iter().map(|r| r.duration_us).sum()
     }
 
-    /// Checks the feasibility conditions (2), (3), (4) and (5) against an
-    /// application.
+    /// Checks that this schedule is shaped for `app`: one `χ` per
+    /// message, one start time per task, and rounds that name only the
+    /// application's messages. Every per-task or per-message query of a
+    /// schedule indexes these tables, so one read from a file or a
+    /// request passes this check before it meets `app`.
     ///
     /// # Errors
     ///
-    /// The first violated condition, as a [`FeasibilityError`].
-    pub fn check_feasible(&self, app: &Application) -> Result<(), FeasibilityError> {
+    /// [`FeasibilityError::ShapeMismatch`] naming the first mismatch.
+    pub fn check_shape(&self, app: &Application) -> Result<(), FeasibilityError> {
         if self.chi.len() != app.message_count() {
             return Err(FeasibilityError::ShapeMismatch(format!(
                 "{} chi entries for {} messages",
@@ -222,6 +225,25 @@ impl Schedule {
                 app.task_count()
             )));
         }
+        for (i, r) in self.rounds.iter().enumerate() {
+            if let Some(m) = r.messages.iter().find(|m| m.index() >= app.message_count()) {
+                return Err(FeasibilityError::ShapeMismatch(format!(
+                    "round {i} carries message {m} of {} messages",
+                    app.message_count()
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks the feasibility conditions (2), (3), (4) and (5) against an
+    /// application, after [`Schedule::check_shape`].
+    ///
+    /// # Errors
+    ///
+    /// The first violated condition, as a [`FeasibilityError`].
+    pub fn check_feasible(&self, app: &Application) -> Result<(), FeasibilityError> {
+        self.check_shape(app)?;
         for m in app.messages() {
             if self.chi[m.index()] == 0 {
                 return Err(FeasibilityError::ZeroChi(m));
@@ -488,6 +510,19 @@ mod tests {
             s.check_feasible(&app),
             Err(FeasibilityError::ShapeMismatch(_))
         ));
+    }
+
+    #[test]
+    fn round_naming_an_unknown_message_is_a_shape_mismatch() {
+        let app = simple_app();
+        let mut s = feasible_schedule(&app);
+        s.check_shape(&app).unwrap();
+        s.rounds[0].messages.push(MsgId(4));
+        let expected = Err(FeasibilityError::ShapeMismatch(
+            "round 0 carries message e4 of 1 messages".into(),
+        ));
+        assert_eq!(s.check_shape(&app), expected);
+        assert_eq!(s.check_feasible(&app), expected);
     }
 
     #[test]

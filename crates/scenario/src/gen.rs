@@ -110,27 +110,6 @@ impl LossSpec {
             ),
         }
     }
-
-    /// Long-run per-transmission reception probability.
-    pub fn mean_success(&self) -> f64 {
-        match *self {
-            LossSpec::Bernoulli { success } => success,
-            LossSpec::GilbertElliott {
-                p_good_to_bad,
-                p_bad_to_good,
-                success_good,
-                success_bad,
-            } => {
-                let denom = p_good_to_bad + p_bad_to_good;
-                let bad = if denom == 0.0 {
-                    0.0
-                } else {
-                    p_good_to_bad / denom
-                };
-                bad * success_bad + (1.0 - bad) * success_good
-            }
-        }
-    }
 }
 
 /// A concrete loss model built from a [`LossSpec`].
@@ -216,13 +195,6 @@ pub enum ConstraintSet {
         /// Relaxed contract for re-admission after a failure.
         degraded: SoftSpec,
     },
-}
-
-impl ConstraintSet {
-    /// Whether this is the soft (eq. 15) family.
-    pub fn is_soft(&self) -> bool {
-        matches!(self, ConstraintSet::Soft { .. })
-    }
 }
 
 /// A fully specified, replayable workload: application, constraints,

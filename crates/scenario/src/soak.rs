@@ -59,7 +59,7 @@ const ID_STRIDE: u64 = 8;
 const REVISIT_ID_BASE: u64 = 1 << 62;
 
 /// Soak run configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoakConfig {
     /// Corpus seed.
     pub master_seed: u64,

@@ -19,7 +19,8 @@
 //!   --modes` reads); the answer carries the [`ModeScheduleExport`]
 //!   document `--modes --out` writes.
 //! * `validate` — Monte-Carlo validation of an embedded schedule
-//!   against embedded constraints, mirroring `netdag validate`.
+//!   against embedded constraints, with the report `netdag validate`
+//!   prints.
 //! * `cache_stats` — a snapshot of the answer cache and queue.
 //! * `metrics` — the live `netdag-obs/1` snapshot plus rolling-window
 //!   quantiles ([`MetricsBody`]). Read-only: issuing it does not count
@@ -52,6 +53,11 @@ pub const REASON_QUEUE_FULL: &str = "queue_full";
 /// Rejection reason: the server is draining after a `shutdown` request.
 pub const REASON_SHUTTING_DOWN: &str = "shutting_down";
 
+/// Longest request line the daemon reads, newline included (1 MiB).
+/// The daemon answers a longer line with one `error` and closes its
+/// connection.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
 /// Statistic selector of a request (the CLI's `--stat` flag).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatSpec {
@@ -61,8 +67,9 @@ pub struct StatSpec {
     pub fss: Option<f64>,
 }
 
-/// Scheduler knobs of a solve request; every field is optional and
-/// defaults exactly as the CLI's `netdag schedule` flags do.
+/// Scheduler knobs of a solve request; every field is optional, and an
+/// absent one takes its value from `SchedulerConfig::default()`, as the
+/// matching `netdag schedule` flag does.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ConfigSpec {
     /// `χ` domain bound (default 8).
@@ -124,7 +131,7 @@ pub struct Request {
     pub weakly_hard: Option<WeaklyHardSpec>,
     /// Statistic selector (defaults to eq. (13)).
     pub stat: Option<StatSpec>,
-    /// Scheduler knobs (defaults mirror the CLI).
+    /// Scheduler knobs (absent ones from `SchedulerConfig::default()`).
     pub config: Option<ConfigSpec>,
     /// Solve deadline in milliseconds, measured from the moment a
     /// worker picks the request up; expiry returns the best incumbent
@@ -135,13 +142,18 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
     /// The schedule to check (validate only).
     pub schedule: Option<ScheduleExport>,
-    /// Simulated runs per task (validate; default 10 000).
+    /// Simulated runs per task (validate; default from
+    /// `ValidationSettings::default()`, 10 000; at most 1 000 000).
     pub kappa: Option<u64>,
-    /// Adversarial trials (validate, weakly hard; default 50).
+    /// Adversarial trials (validate, weakly hard; default from
+    /// `ValidationSettings::default()`, 50; at most 10 000).
     pub trials: Option<u64>,
-    /// RNG seed (validate; default 2020).
+    /// RNG seed (validate; default from `ValidationSettings::default()`,
+    /// 2020).
     pub seed: Option<u64>,
-    /// Validation worker threads (default 1; never affects results).
+    /// Validation worker threads (default from
+    /// `ValidationSettings::default()`, 1; capped at the core count;
+    /// never affects results).
     pub threads: Option<u64>,
     /// The problem vector of a `batch_solve` request; the response's
     /// `batch` array answers them in the same order.

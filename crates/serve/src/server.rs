@@ -66,8 +66,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -86,14 +86,14 @@ use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_core::weakly_hard::schedule_weakly_hard_controlled;
 use netdag_obs::{counter, keys, Gauge, SloGate, SloInputs, SloReport, WindowedHist};
 use netdag_runtime::{run_indexed, ExecPolicy};
-use netdag_validation::validate_contract;
+use netdag_validation::{validate_contract, ValidationSettings};
 
 use crate::cache::{Answer, Lookup, SolutionCache};
 use crate::fingerprint::{fingerprint, mode_fingerprint, Fingerprint};
 use crate::protocol::{
     CacheStatsBody, HealthBody, MetricsBody, Request, Response, RollingStats, ShardCacheStats,
-    StatSpec, ValidationReport, WindowMeta, REASON_QUEUE_FULL, REASON_SHUTTING_DOWN,
-    STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
+    StatSpec, ValidationReport, WindowMeta, MAX_FRAME_BYTES, REASON_QUEUE_FULL,
+    REASON_SHUTTING_DOWN, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
 };
 use crate::ring::Ring;
 use crate::snapshot::{self, CacheSnapshot, SnapshotEntry};
@@ -664,15 +664,29 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut frame = Vec::new();
     loop {
-        // `read_line` may have buffered a partial line before a
-        // timeout, so `line` is only cleared after a complete one.
-        match reader.read_line(&mut line) {
+        // A read may buffer a partial line before a timeout, so `frame`
+        // is only cleared after a complete one. Reading at most one byte
+        // past the bound tells an oversized line from a full one.
+        let room = (MAX_FRAME_BYTES + 1 - frame.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut frame) {
             Ok(0) => return,
             Ok(_) => {
-                if !line.trim().is_empty() {
-                    let resp = process_line(shared, &line);
+                let oversized = frame.len() > MAX_FRAME_BYTES;
+                let resp = if oversized {
+                    Some(refuse_frame(
+                        shared,
+                        &format!("bad request: line exceeds {MAX_FRAME_BYTES} bytes"),
+                    ))
+                } else {
+                    match std::str::from_utf8(&frame) {
+                        Ok(line) if line.trim().is_empty() => None,
+                        Ok(line) => Some(process_line(shared, line)),
+                        Err(e) => Some(refuse_frame(shared, &format!("bad request: {e}"))),
+                    }
+                };
+                if let Some(resp) = resp {
                     let mut text = match serde_json::to_string(&resp) {
                         Ok(t) => t,
                         Err(_) => return,
@@ -682,7 +696,18 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                         return;
                     }
                 }
-                line.clear();
+                if oversized {
+                    // Close after the answer. Discarding what the client
+                    // already sent (bounded by one more frame) lets the
+                    // answer reach it before the close.
+                    let _ = writer.shutdown(Shutdown::Write);
+                    let _ = std::io::copy(
+                        &mut reader.take(MAX_FRAME_BYTES as u64),
+                        &mut std::io::sink(),
+                    );
+                    return;
+                }
+                frame.clear();
             }
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -694,6 +719,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
+/// Counts a request line that never became a [`Request`] and answers it
+/// with `reason`: malformed JSON, invalid UTF-8, or an oversized frame.
+fn refuse_frame(shared: &Shared, reason: &str) -> Response {
+    shared.requests.fetch_add(1, Ordering::Relaxed);
+    counter!(keys::SERVE_REQUESTS).incr();
+    error_response(None, reason)
+}
+
 /// Parses and answers one request line (admitting solve/validate work
 /// to the queue and blocking until its worker responds). The read-only
 /// probes `metrics` and `health` are answered before any counting so a
@@ -702,11 +735,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 fn process_line(shared: &Shared, line: &str) -> Response {
     let req: Request = match serde_json::from_str(line) {
         Ok(r) => r,
-        Err(e) => {
-            shared.requests.fetch_add(1, Ordering::Relaxed);
-            counter!(keys::SERVE_REQUESTS).incr();
-            return error_response(None, &format!("bad request: {e}"));
-        }
+        Err(e) => return refuse_frame(shared, &format!("bad request: {e}")),
     };
     match req.op.as_str() {
         "metrics" => return handle_metrics(shared, &req),
@@ -1575,34 +1604,42 @@ fn handle_validate(req: &Request) -> Result<Response, String> {
         return Err("validate needs \"soft\" and/or \"weakly_hard\" constraints".into());
     }
     let (app, names) = app_spec.build().map_err(invalid_spec)?;
-    let kappa = req.kappa.unwrap_or(10_000);
-    if kappa == 0 || kappa > MAX_VALIDATE_KAPPA {
-        return Err(format!(
-            "validate needs \"kappa\" in 1..={MAX_VALIDATE_KAPPA}"
-        ));
+    let mut settings = ValidationSettings::default();
+    if let Some(kappa) = req.kappa {
+        if kappa == 0 || kappa > MAX_VALIDATE_KAPPA {
+            return Err(format!(
+                "validate needs \"kappa\" in 1..={MAX_VALIDATE_KAPPA}"
+            ));
+        }
+        settings.kappa = kappa as usize;
     }
-    let trials = req.trials.unwrap_or(50);
-    if trials > MAX_VALIDATE_TRIALS {
-        return Err(format!(
-            "validate needs \"trials\" <= {MAX_VALIDATE_TRIALS}"
-        ));
+    if let Some(trials) = req.trials {
+        if trials > MAX_VALIDATE_TRIALS {
+            return Err(format!(
+                "validate needs \"trials\" <= {MAX_VALIDATE_TRIALS}"
+            ));
+        }
+        settings.trials = trials as usize;
     }
-    let (kappa, trials) = (kappa as usize, trials as usize);
-    let seed = req.seed.unwrap_or(2020);
+    settings.seed = req.seed.unwrap_or(settings.seed);
     // Results never depend on the thread count, so capping it at the
     // core count only stops a client from spawning unbounded threads;
     // 0 still means auto.
-    let threads = (req.threads.unwrap_or(1) as usize).min(ExecPolicy::Auto.thread_count());
+    settings.threads = req
+        .threads
+        .map_or(settings.threads, |t| t as usize)
+        .min(ExecPolicy::Auto.thread_count());
     let (soft, weakly_hard) = constraints(req, &names, "validation")?;
+    export
+        .schedule
+        .check_shape(&app)
+        .map_err(|e| format!("schedule does not fit the app: {e}"))?;
     let (passed, report) = validate_contract(
         &app,
         &export.schedule,
         soft.as_ref().map(|(f, fss)| (f, *fss)),
         weakly_hard.as_ref(),
-        kappa,
-        trials,
-        seed,
-        ExecPolicy::from_threads(threads),
+        &settings,
     )
     .map_err(|e| format!("adversarial synthesis failed: {e}"))?;
     let mut resp = Response::status(req.id, STATUS_OK);

@@ -13,14 +13,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
+use netdag_core::app::{MsgId, TaskId};
 use netdag_core::modes::{ModeSpec, ModesSpec};
+use netdag_core::schedule::Schedule;
 use netdag_core::spec::{
     AppSpec, EdgeSpec, ScheduleExport, SoftEntry, SoftSpec, TaskSpec, WeaklyHardEntry,
     WeaklyHardSpec,
 };
 use netdag_obs::keys;
 use netdag_serve::protocol::{
-    BatchItem, ConfigSpec, Request, Response, StatSpec, STATUS_ERROR, STATUS_OK,
+    BatchItem, ConfigSpec, Request, Response, StatSpec, MAX_FRAME_BYTES, STATUS_ERROR, STATUS_OK,
 };
 use netdag_serve::{serve, ServeConfig, WorkerHook};
 
@@ -56,6 +58,15 @@ impl Client {
         self.writer
             .write_all(format!("{line}\n").as_bytes())
             .expect("write");
+        self.writer.flush().expect("flush");
+        let mut text = String::new();
+        self.reader.read_line(&mut text).expect("read");
+        serde_json::from_str(&text).expect("response JSON")
+    }
+
+    /// Writes `bytes` as they are and reads one answer line.
+    fn send_raw(&mut self, bytes: &[u8]) -> Response {
+        self.writer.write_all(bytes).expect("write");
         self.writer.flush().expect("flush");
         let mut text = String::new();
         self.reader.read_line(&mut text).expect("read");
@@ -441,6 +452,112 @@ fn validate_errors() {
     );
 
     c.shutdown();
+}
+
+/// A schedule made for another application is refused before any
+/// validator indexes it.
+#[test]
+fn validate_refuses_a_schedule_for_another_app() {
+    let _serial = serial();
+    let addr = start_server(ServeConfig::default());
+    let mut c = Client::connect(addr);
+    let solved = c.send(&solve(1));
+    assert_eq!(solved.status, STATUS_OK, "{:?}", solved.reason);
+    let mut schedule = solved.result.expect("schedule");
+
+    let mut req = validate(2, &schedule);
+    req.app = Some(heavy_app());
+    c.expect_request_error(
+        &req,
+        "schedule does not fit the app: shape mismatch: 1 chi entries for 7 messages",
+    );
+
+    // Right table sizes, but a round names a message the app lacks.
+    let s = &schedule.schedule;
+    let mut rounds = s.rounds().to_vec();
+    rounds[0].messages.push(MsgId(1));
+    schedule.schedule = Schedule::new(
+        rounds,
+        vec![s.chi(MsgId(0))],
+        vec![s.task_start(TaskId(0)), s.task_start(TaskId(1))],
+        *s.timing(),
+    );
+    c.expect_request_error(
+        &validate(3, &schedule),
+        "schedule does not fit the app: shape mismatch: round 0 carries message e1 of 1 messages",
+    );
+    c.shutdown();
+}
+
+/// `workers_live` as a fresh connection's `health` reports it.
+fn workers_live(addr: SocketAddr) -> u64 {
+    let mut c = Client::connect(addr);
+    c.send(&request("health", 0))
+        .health
+        .expect("health body")
+        .workers_live
+}
+
+/// A request line that is not valid UTF-8 gets one `error`, counted as
+/// a request, and the connection stays open.
+#[test]
+fn an_invalid_utf8_frame_gets_one_error() {
+    let _serial = serial();
+    let addr = start_server(ServeConfig::default());
+    let live = workers_live(addr);
+    let mut c = Client::connect(addr);
+    let (requests, errors) = (count(keys::SERVE_REQUESTS), count(keys::SERVE_ERRORS));
+    let r = c.send_raw(b"{\"op\": \"\xff\"}\n");
+    assert_eq!(r.status, STATUS_ERROR, "{r:?}");
+    assert_eq!(
+        r.reason.as_deref(),
+        Some("bad request: invalid utf-8 sequence of 1 bytes from index 8")
+    );
+    assert_eq!(count(keys::SERVE_REQUESTS) - requests, 1);
+    assert_eq!(count(keys::SERVE_ERRORS) - errors, 1);
+    assert_eq!(c.send(&request("cache_stats", 1)).status, STATUS_OK);
+    assert_eq!(workers_live(addr), live);
+    c.shutdown();
+}
+
+/// `line` padded with spaces to a frame of `len` bytes, newline
+/// included.
+fn padded(line: &str, len: usize) -> Vec<u8> {
+    let mut frame = line.as_bytes().to_vec();
+    frame.resize(len - 1, b' ');
+    frame.push(b'\n');
+    frame
+}
+
+/// A request line longer than [`MAX_FRAME_BYTES`] gets one `error`,
+/// counted as a request, and then its connection closes; a line of
+/// exactly the bound is read as usual.
+#[test]
+fn an_oversized_frame_gets_one_error_and_a_close() {
+    let _serial = serial();
+    let addr = start_server(ServeConfig::default());
+    let live = workers_live(addr);
+
+    let health = "{\"op\": \"health\", \"id\": 1}";
+    let mut c = Client::connect(addr);
+    assert!(c
+        .send_raw(&padded(health, MAX_FRAME_BYTES))
+        .health
+        .is_some());
+
+    let (requests, errors) = (count(keys::SERVE_REQUESTS), count(keys::SERVE_ERRORS));
+    let r = c.send_raw(&padded(health, MAX_FRAME_BYTES + 1));
+    assert_eq!(r.status, STATUS_ERROR, "{r:?}");
+    assert_eq!(
+        r.reason.as_deref(),
+        Some("bad request: line exceeds 1048576 bytes")
+    );
+    assert_eq!(count(keys::SERVE_REQUESTS) - requests, 1);
+    assert_eq!(count(keys::SERVE_ERRORS) - errors, 1);
+    let mut rest = String::new();
+    assert_eq!(c.reader.read_line(&mut rest).expect("read"), 0, "{rest}");
+    assert_eq!(workers_live(addr), live);
+    Client::connect(addr).shutdown();
 }
 
 /// A handler that panics on a job leaves its client a structured error,

@@ -86,11 +86,6 @@ impl Model {
         self.bounds.len()
     }
 
-    /// Number of posted constraints.
-    pub fn constraint_count(&self) -> usize {
-        self.props.len()
-    }
-
     /// Name of a variable (for diagnostics).
     pub fn var_name(&self, v: VarId) -> &str {
         &self.names[v.index()]

@@ -65,6 +65,35 @@ use netdag_core::stat::{Eq13Statistic, Eq15Statistic};
 use netdag_runtime::ExecPolicy;
 use netdag_weakly_hard::SynthesisError;
 
+/// The knobs of one § IV-A validation run. `Default` holds the values
+/// `netdag validate` and the daemon's `validate` op use when a flag or
+/// request field is absent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValidationSettings {
+    /// Monte-Carlo runs per task (soft), and the upper end of the
+    /// activations per adversarial trial (weakly hard).
+    pub kappa: usize,
+    /// Adversarial trials per task (weakly hard).
+    pub trials: usize,
+    /// RNG seed.
+    pub seed: u64,
+    /// Worker threads for the simulation fan-out: 0 = auto (one per
+    /// core), 1 = serial, n = exactly n. Results are identical at every
+    /// setting.
+    pub threads: usize,
+}
+
+impl Default for ValidationSettings {
+    fn default() -> Self {
+        ValidationSettings {
+            kappa: 10_000,
+            trials: 50,
+            seed: 2020,
+            threads: 1,
+        }
+    }
+}
+
 /// The § IV-A verdict on a schedule's contract, as `(passed, report)`;
 /// `netdag validate` and the daemon's `validate` op both report it.
 /// Soft constraints go first: `kappa` Monte-Carlo runs per task under
@@ -76,17 +105,20 @@ use netdag_weakly_hard::SynthesisError;
 /// # Errors
 ///
 /// Propagates [`SynthesisError`] from adversarial pattern synthesis.
-#[allow(clippy::too_many_arguments)]
 pub fn validate_contract(
     app: &Application,
     schedule: &Schedule,
     soft: Option<(&SoftConstraints, f64)>,
     weakly_hard: Option<&WeaklyHardConstraints>,
-    kappa: usize,
-    trials: usize,
-    seed: u64,
-    policy: ExecPolicy,
+    settings: &ValidationSettings,
 ) -> Result<(bool, String), SynthesisError> {
+    let ValidationSettings {
+        kappa,
+        trials,
+        seed,
+        threads,
+    } = *settings;
+    let policy = ExecPolicy::from_threads(threads);
     let mut report = String::new();
     let mut passed = true;
     if let Some((f, fss)) = soft {

@@ -187,17 +187,6 @@ pub fn max_miss_run(c: &Constraint) -> Result<Option<u32>, BuildDfaError> {
     Ok(Some(best))
 }
 
-/// Whether the constraint admits any infinite satisfying behavior (all
-/// valid `(m, K)` constraints do; the all-hits behavior always works).
-///
-/// # Errors
-///
-/// Returns [`BuildDfaError`] when the constraint window is too large.
-pub fn satisfiable_forever(c: &Constraint) -> Result<bool, BuildDfaError> {
-    let dfa = Dfa::from_constraint(c)?;
-    Ok(!reachable_live(&dfa).is_empty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,16 +262,6 @@ mod tests {
     fn miss_runs_of_any_miss_form() {
         let c = Constraint::any_miss(2, 6).unwrap();
         assert_eq!(max_miss_run(&c).unwrap(), Some(2));
-    }
-
-    #[test]
-    fn everything_valid_is_satisfiable_forever() {
-        for k in 1..6u32 {
-            for m in 0..=k {
-                assert!(satisfiable_forever(&hit(m, k)).unwrap());
-            }
-        }
-        assert!(satisfiable_forever(&Constraint::row_miss(0)).unwrap());
     }
 
     #[test]

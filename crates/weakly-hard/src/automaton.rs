@@ -362,15 +362,6 @@ impl Dfa {
         self.product(other, |a, b| a || b)
     }
 
-    /// Automaton accepting the complement language.
-    pub fn complement(&self) -> Dfa {
-        let mut out = self.clone();
-        for a in &mut out.accept {
-            *a = !*a;
-        }
-        out
-    }
-
     #[allow(clippy::needless_range_loop)]
     fn product<F: Fn(bool, bool) -> bool>(&self, other: &Dfa, acc: F) -> Dfa {
         let mut ids: HashMap<(u32, u32), u32> = HashMap::new();
@@ -613,7 +604,6 @@ mod tests {
             assert_eq!(inter.accepts(&s), a.accepts(&s) && b.accepts(&s));
             assert_eq!(uni.accepts(&s), a.accepts(&s) || b.accepts(&s));
             assert_eq!(diff.accepts(&s), a.accepts(&s) && !b.accepts(&s));
-            assert_eq!(a.complement().accepts(&s), !a.accepts(&s));
         }
     }
 

@@ -185,15 +185,6 @@ impl Constraint {
         }
     }
 
-    /// Whether only the all-hits sequences satisfy this constraint (a hard
-    /// real-time requirement).
-    pub fn is_hard(&self) -> bool {
-        match *self {
-            Constraint::AnyHit { m, k } | Constraint::RowHit { m, k } => m == k,
-            Constraint::AnyMiss { m, .. } | Constraint::RowMiss { m } => m == 0,
-        }
-    }
-
     /// Converts window-based constraints to the equivalent `AnyHit` form
     /// where one exists without changing the satisfaction set:
     /// `AnyMiss(m̄, K) ≡ AnyHit(K − m̄, K)`. `RowHit` and `RowMiss` are
@@ -474,14 +465,10 @@ mod tests {
     }
 
     #[test]
-    fn trivial_and_hard() {
+    fn trivial() {
         assert!(Constraint::any_hit(0, 3).unwrap().is_trivial());
         assert!(Constraint::any_miss(3, 3).unwrap().is_trivial());
         assert!(!Constraint::row_miss(3).is_trivial());
-        assert!(Constraint::any_hit(3, 3).unwrap().is_hard());
-        assert!(Constraint::any_miss(0, 3).unwrap().is_hard());
-        assert!(Constraint::row_miss(0).is_hard());
-        assert!(!Constraint::any_hit(2, 3).unwrap().is_hard());
     }
 
     #[test]
