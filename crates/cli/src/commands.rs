@@ -98,7 +98,8 @@ fn load_app(
     Ok(spec.build()?)
 }
 
-/// Reads an exported schedule and checks that it is shaped for `app`.
+/// Reads an exported schedule and checks that it fits `app`
+/// (`Schedule::check_shape`).
 fn load_schedule(path: &Path, app: &Application) -> Result<ScheduleExport, CliError> {
     let export: ScheduleExport = read_json(path)?;
     export

@@ -10,7 +10,7 @@ use std::process::{Command, Output};
 
 use netdag_cli::commands::ScheduleExport;
 use netdag_cli::spec::AppSpec;
-use netdag_core::app::MsgId;
+use netdag_core::app::{MsgId, TaskId};
 use netdag_core::schedule::Schedule;
 
 const BIN: &str = env!("CARGO_BIN_EXE_netdag");
@@ -65,16 +65,33 @@ fn schedule(app: &str, weakly_hard: &str, out: &str) {
 /// Runs `netdag validate` and `netdag trace` on the mimo application
 /// with `schedule` and checks that both refuse it with `reason`.
 fn assert_refused(dir: &TempDir, schedule: &str, reason: &str) {
+    assert_refused_for(
+        dir,
+        ("mimo_app.json", "mimo_weakly_hard.json"),
+        schedule,
+        &format!("shape mismatch: {reason}"),
+    );
+}
+
+/// Runs `netdag validate` and `netdag trace` on the `(app, weakly
+/// hard)` example pair with `schedule` and checks that both refuse it
+/// with `error: schedule does not fit the app: {reason}`.
+fn assert_refused_for(
+    dir: &TempDir,
+    (app, weakly_hard): (&str, &str),
+    schedule: &str,
+    reason: &str,
+) {
     let trace = dir.path("trace.json");
     let runs = [
         netdag(&[
             "validate",
             "--app",
-            &example("mimo_app.json"),
+            &example(app),
             "--schedule",
             schedule,
             "--weakly-hard",
-            &example("mimo_weakly_hard.json"),
+            &example(weakly_hard),
             "--kappa",
             "200",
             "--trials",
@@ -83,7 +100,7 @@ fn assert_refused(dir: &TempDir, schedule: &str, reason: &str) {
         netdag(&[
             "trace",
             "--app",
-            &example("mimo_app.json"),
+            &example(app),
             "--schedule",
             schedule,
             "--out",
@@ -95,7 +112,7 @@ fn assert_refused(dir: &TempDir, schedule: &str, reason: &str) {
         assert!(run.stdout.is_empty(), "{run:?}");
         assert_eq!(
             String::from_utf8(run.stderr).expect("UTF-8 stderr"),
-            format!("error: schedule does not fit the app: shape mismatch: {reason}\n")
+            format!("error: schedule does not fit the app: {reason}\n")
         );
     }
     assert!(
@@ -143,5 +160,36 @@ fn a_round_naming_an_unknown_message_is_refused() {
         &dir,
         doctored.to_str().expect("UTF-8 path"),
         "round 0 carries message e9 of 6 messages",
+    );
+}
+
+/// A schedule of the right shape that never sends one message is
+/// refused: every result about that message would rest on a flood that
+/// no round carries.
+#[test]
+fn a_schedule_that_never_sends_a_message_is_refused() {
+    let dir = TempDir::new("uncovered-message");
+    let pipeline = dir.path("pipeline.json");
+    let pipeline = pipeline.to_str().expect("UTF-8 path");
+    schedule("pipeline_app.json", "pipeline_weakly_hard.json", pipeline);
+    let mut export: ScheduleExport =
+        serde_json::from_str(&fs::read_to_string(pipeline).expect("schedule")).expect("JSON");
+    let s = &export.schedule;
+    let mut rounds = s.rounds().to_vec();
+    let dropped = rounds[0].messages.remove(0);
+    let chi = (0..2).map(|m| s.chi(MsgId(m))).collect();
+    let starts = (0..3).map(|t| s.task_start(TaskId(t))).collect();
+    export.schedule = Schedule::new(rounds, chi, starts, *s.timing());
+    let doctored = dir.path("doctored.json");
+    fs::write(
+        &doctored,
+        serde_json::to_string(&export).expect("serializable"),
+    )
+    .expect("write");
+    assert_refused_for(
+        &dir,
+        ("pipeline_app.json", "pipeline_weakly_hard.json"),
+        doctored.to_str().expect("UTF-8 path"),
+        &format!("message {dropped} must appear in exactly one round"),
     );
 }

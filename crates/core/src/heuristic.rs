@@ -67,90 +67,60 @@ pub(crate) fn assemble(
     )
 }
 
-/// Total violation measure of a χ assignment: zero iff every group's
-/// requirement holds. Integer-valued so the repair loop provably
-/// terminates.
-fn violation(spec: &ReliabilitySpec, chi: &[u32]) -> i64 {
+/// Each group's violation term under a χ assignment, in group order,
+/// with the task it constrains: zero iff the group's requirement holds.
+/// Integer-valued so the repair loop provably terminates.
+fn group_terms<'s>(
+    spec: &'s ReliabilitySpec,
+    chi: &'s [u32],
+) -> Box<dyn Iterator<Item = (crate::app::TaskId, i64)> + 's> {
     match spec {
-        ReliabilitySpec::Soft { log_tables, groups } => groups
-            .iter()
-            .map(|g| {
-                let total: i64 = g
-                    .msgs
-                    .iter()
-                    .map(|m| log_tables[m.index()][chi[m.index()] as usize - 1])
-                    .sum();
-                (g.threshold - total).max(0)
-            })
-            .sum(),
+        ReliabilitySpec::Soft { log_tables, groups } => Box::new(groups.iter().map(|g| {
+            let total: i64 = g
+                .msgs
+                .iter()
+                .map(|m| log_tables[m.index()][chi[m.index()] as usize - 1])
+                .sum();
+            (g.task, (g.threshold - total).max(0))
+        })),
         ReliabilitySpec::WeaklyHard {
             miss_tables,
             window_tables,
             groups,
-        } => groups
-            .iter()
-            .map(|g| {
-                let w = g
-                    .msgs
-                    .iter()
-                    .map(|m| window_tables[m.index()][chi[m.index()] as usize - 1])
-                    .chain(g.beacon_window)
-                    .min()
-                    .unwrap_or(0);
-                let misses: i64 = g
-                    .msgs
-                    .iter()
-                    .map(|m| miss_tables[m.index()][chi[m.index()] as usize - 1])
-                    .sum();
-                // Window overshoot is weighted heavily: it cannot be fixed
-                // by other bumps once every window grew past K.
-                let window_over = (w - g.max_window).max(0);
-                let slack_deficit = (g.min_hits - (w - misses)).max(0);
-                window_over * 1_000 + slack_deficit
-            })
-            .sum(),
+        } => Box::new(groups.iter().map(|g| {
+            let w = g
+                .msgs
+                .iter()
+                .map(|m| window_tables[m.index()][chi[m.index()] as usize - 1])
+                .chain(g.beacon_window)
+                .min()
+                .unwrap_or(0);
+            let misses: i64 = g
+                .msgs
+                .iter()
+                .map(|m| miss_tables[m.index()][chi[m.index()] as usize - 1])
+                .sum();
+            // Window overshoot is weighted heavily: it cannot be fixed
+            // by other bumps once every window grew past K.
+            let window_over = (w - g.max_window).max(0);
+            let slack_deficit = (g.min_hits - (w - misses)).max(0);
+            (g.task, window_over * 1_000 + slack_deficit)
+        })),
     }
+}
+
+/// Total violation measure of a χ assignment: zero iff every group's
+/// requirement holds.
+fn violation(spec: &ReliabilitySpec, chi: &[u32]) -> i64 {
+    group_terms(spec, chi).map(|(_, term)| term).sum()
 }
 
 /// The task blamed when repair gets stuck: the first group still violated.
 fn blame(spec: &ReliabilitySpec, chi: &[u32]) -> crate::app::TaskId {
-    match spec {
-        ReliabilitySpec::Soft { log_tables, groups } => groups
-            .iter()
-            .find(|g| {
-                let total: i64 = g
-                    .msgs
-                    .iter()
-                    .map(|m| log_tables[m.index()][chi[m.index()] as usize - 1])
-                    .sum();
-                total < g.threshold
-            })
-            .map(|g| g.task)
-            .expect("some group is violated"),
-        ReliabilitySpec::WeaklyHard {
-            miss_tables,
-            window_tables,
-            groups,
-        } => groups
-            .iter()
-            .find(|g| {
-                let w = g
-                    .msgs
-                    .iter()
-                    .map(|m| window_tables[m.index()][chi[m.index()] as usize - 1])
-                    .chain(g.beacon_window)
-                    .min()
-                    .unwrap_or(0);
-                let misses: i64 = g
-                    .msgs
-                    .iter()
-                    .map(|m| miss_tables[m.index()][chi[m.index()] as usize - 1])
-                    .sum();
-                w > g.max_window || w - misses < g.min_hits
-            })
-            .map(|g| g.task)
-            .expect("some group is violated"),
-    }
+    group_terms(spec, chi)
+        .find(|&(_, term)| term > 0)
+        .map(|(task, _)| task)
+        .expect("some group is violated")
 }
 
 fn choose_chi(

@@ -73,6 +73,8 @@ pub enum FeasibilityError {
     PrecedenceOrder(MsgId, MsgId),
     /// A retransmission parameter was zero.
     ZeroChi(MsgId),
+    /// A round's beacon retransmission parameter was zero.
+    ZeroBeaconChi(usize),
 }
 
 impl fmt::Display for FeasibilityError {
@@ -104,6 +106,7 @@ impl fmt::Display for FeasibilityError {
                 write!(f, "message {b} scheduled no later than its predecessor {a}")
             }
             FeasibilityError::ZeroChi(m) => write!(f, "message {m} has N_TX = 0"),
+            FeasibilityError::ZeroBeaconChi(r) => write!(f, "round {r} has beacon N_TX = 0"),
         }
     }
 }
@@ -201,15 +204,21 @@ impl Schedule {
         self.rounds.iter().map(|r| r.duration_us).sum()
     }
 
-    /// Checks that this schedule is shaped for `app`: one `χ` per
-    /// message, one start time per task, and rounds that name only the
-    /// application's messages. Every per-task or per-message query of a
-    /// schedule indexes these tables, so one read from a file or a
-    /// request passes this check before it meets `app`.
+    /// Checks that this schedule fits `app`: one `χ` per message, one
+    /// start time per task, rounds that name only the application's
+    /// messages and flood their beacon with `N_TX ≥ 1`, and every message
+    /// sent in exactly one round with `χ ≥ 1` (eq. (2)). Every per-task
+    /// or per-message query of a schedule indexes these tables, and the
+    /// simulations and the LWB executor flood every beacon and slot, so
+    /// one read from a file or a request passes this check before it
+    /// meets `app`.
     ///
     /// # Errors
     ///
-    /// [`FeasibilityError::ShapeMismatch`] naming the first mismatch.
+    /// The first misfit: [`FeasibilityError::ShapeMismatch`] for the
+    /// tables and round contents, [`FeasibilityError::ZeroBeaconChi`],
+    /// then per message in order [`FeasibilityError::ZeroChi`] and
+    /// [`FeasibilityError::MessageCoverage`].
     pub fn check_shape(&self, app: &Application) -> Result<(), FeasibilityError> {
         if self.chi.len() != app.message_count() {
             return Err(FeasibilityError::ShapeMismatch(format!(
@@ -232,18 +241,10 @@ impl Schedule {
                     app.message_count()
                 )));
             }
+            if r.beacon_chi == 0 {
+                return Err(FeasibilityError::ZeroBeaconChi(i));
+            }
         }
-        Ok(())
-    }
-
-    /// Checks the feasibility conditions (2), (3), (4) and (5) against an
-    /// application, after [`Schedule::check_shape`].
-    ///
-    /// # Errors
-    ///
-    /// The first violated condition, as a [`FeasibilityError`].
-    pub fn check_feasible(&self, app: &Application) -> Result<(), FeasibilityError> {
-        self.check_shape(app)?;
         for m in app.messages() {
             if self.chi[m.index()] == 0 {
                 return Err(FeasibilityError::ZeroChi(m));
@@ -258,6 +259,17 @@ impl Schedule {
                 return Err(FeasibilityError::MessageCoverage(m));
             }
         }
+        Ok(())
+    }
+
+    /// Checks the feasibility conditions (2), (3), (4) and (5) against an
+    /// application, after [`Schedule::check_shape`].
+    ///
+    /// # Errors
+    ///
+    /// The first violated condition, as a [`FeasibilityError`].
+    pub fn check_feasible(&self, app: &Application) -> Result<(), FeasibilityError> {
+        self.check_shape(app)?;
         // Eq. (3): stored durations match the estimate.
         for (i, r) in self.rounds.iter().enumerate() {
             let slots: Vec<(u32, u32)> = r
@@ -500,6 +512,14 @@ mod tests {
             s.check_feasible(&app),
             Err(FeasibilityError::MessageCoverage(MsgId(0)))
         );
+    }
+
+    #[test]
+    fn zero_beacon_chi_detected() {
+        let app = simple_app();
+        let mut s = feasible_schedule(&app);
+        s.rounds[0].beacon_chi = 0;
+        assert_eq!(s.check_shape(&app), Err(FeasibilityError::ZeroBeaconChi(0)));
     }
 
     #[test]

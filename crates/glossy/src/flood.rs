@@ -50,7 +50,6 @@ impl Error for FloodError {}
 pub struct FloodOutcome {
     first_rx_slot: Vec<Option<u32>>,
     transmissions: u64,
-    slots_used: u32,
 }
 
 impl FloodOutcome {
@@ -73,11 +72,6 @@ impl FloodOutcome {
     /// Total number of packet transmissions — a proxy for radio energy.
     pub fn transmissions(&self) -> u64 {
         self.transmissions
-    }
-
-    /// Number of slots with radio activity.
-    pub fn slots_used(&self) -> u32 {
-        self.slots_used
     }
 
     /// Fraction of nodes reached.
@@ -136,7 +130,6 @@ pub fn simulate_flood<L: LossModel, R: Rng + ?Sized>(
     let mut first_rx: Vec<Option<i64>> = vec![None; n];
     first_rx[params.initiator.index()] = Some(-1);
     let mut transmissions = 0u64;
-    let mut slots_used = 0u32;
 
     let last_tx_slot = |rx: i64| rx + 1 + 2 * (params.n_tx as i64 - 1);
     let mut horizon = last_tx_slot(-1);
@@ -151,10 +144,7 @@ pub fn simulate_flood<L: LossModel, R: Rng + ?Sized>(
                 })
             })
             .collect();
-        if !transmitters.is_empty() {
-            transmissions += transmitters.len() as u64;
-            slots_used = slot as u32 + 1;
-        }
+        transmissions += transmitters.len() as u64;
         // Receptions: any not-yet-covered node with a transmitting neighbor.
         for node in 0..n as u32 {
             let node = NodeId(node);
@@ -184,7 +174,6 @@ pub fn simulate_flood<L: LossModel, R: Rng + ?Sized>(
             .map(|rx| rx.map(|s| s.max(0) as u32))
             .collect(),
         transmissions,
-        slots_used,
     };
     // Guarded explicitly: this is the Monte-Carlo hot path, and building
     // the args slice is not free even though `instant` itself bails.
@@ -264,7 +253,6 @@ mod tests {
         .unwrap();
         // Every node transmits exactly n_tx times on a lossless network.
         assert_eq!(out.transmissions(), 3 * 2);
-        assert!(out.slots_used() >= 3);
     }
 
     #[test]

@@ -91,6 +91,24 @@ fn chunk_len(total: u32, chunk: u32) -> u32 {
     PROFILE_CHUNK.min(total - start)
 }
 
+/// Checks the profilers' shared arguments and returns the `N_TX` range's
+/// bounds: `1 ≤ min ≤ max` and a non-zero `window` (when the profiler
+/// has one), then at least one run.
+fn checked_range(
+    n_tx_range: &std::ops::RangeInclusive<u32>,
+    window: Option<u32>,
+    runs: u32,
+) -> Result<(u32, u32), ProfileError> {
+    let (min, max) = (*n_tx_range.start(), *n_tx_range.end());
+    if min == 0 || min > max || window == Some(0) {
+        return Err(ProfileError::BadNtxRange { min, max });
+    }
+    if runs == 0 {
+        return Err(ProfileError::NoRuns);
+    }
+    Ok((min, max))
+}
+
 /// An empirically measured soft statistic `λ_s(N_TX)`.
 ///
 /// # Example
@@ -128,13 +146,7 @@ impl SoftProfile {
         runs: u32,
         rng: &mut R,
     ) -> Result<Self, ProfileError> {
-        let (min, max) = (*n_tx_range.start(), *n_tx_range.end());
-        if min == 0 || min > max {
-            return Err(ProfileError::BadNtxRange { min, max });
-        }
-        if runs == 0 {
-            return Err(ProfileError::NoRuns);
-        }
+        let (min, max) = checked_range(&n_tx_range, None, runs)?;
         let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_GLOSSY_PROFILE_SOFT);
         let mut success = Vec::with_capacity((max - min + 1) as usize);
         for n_tx in min..=max {
@@ -149,16 +161,7 @@ impl SoftProfile {
             }
             success.push(ok as f64 / runs as f64);
         }
-        // Monotonize with a running maximum.
-        for i in 1..success.len() {
-            if success[i] < success[i - 1] {
-                success[i] = success[i - 1];
-            }
-        }
-        Ok(SoftProfile {
-            n_tx_min: min,
-            success,
-        })
+        Self::from_table(min, success)
     }
 
     /// Parallel, seed-deterministic variant of [`SoftProfile::measure`].
@@ -186,13 +189,7 @@ impl SoftProfile {
         master_seed: u64,
         policy: ExecPolicy,
     ) -> Result<Self, ProfileError> {
-        let (min, max) = (*n_tx_range.start(), *n_tx_range.end());
-        if min == 0 || min > max {
-            return Err(ProfileError::BadNtxRange { min, max });
-        }
-        if runs == 0 {
-            return Err(ProfileError::NoRuns);
-        }
+        let (min, max) = checked_range(&n_tx_range, None, runs)?;
         let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_GLOSSY_PROFILE_SOFT);
         let n_values = max - min + 1;
         let chunks = chunk_count(runs);
@@ -307,13 +304,7 @@ impl WeaklyHardProfile {
         safety_margin: u32,
         rng: &mut R,
     ) -> Result<Self, ProfileError> {
-        let (min, max) = (*n_tx_range.start(), *n_tx_range.end());
-        if min == 0 || min > max || window == 0 {
-            return Err(ProfileError::BadNtxRange { min, max });
-        }
-        if kappa == 0 {
-            return Err(ProfileError::NoRuns);
-        }
+        let (min, max) = checked_range(&n_tx_range, Some(window), kappa)?;
         let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_GLOSSY_PROFILE_WEAKLY_HARD);
         let mut misses = Vec::with_capacity((max - min + 1) as usize);
         for n_tx in min..=max {
@@ -325,19 +316,9 @@ impl WeaklyHardProfile {
                 link.advance_between_floods(rng);
             }
             let worst = seq.max_window_misses(window as usize).unwrap_or(0) as u32;
-            misses.push((worst + safety_margin).min(window));
+            misses.push(worst + safety_margin);
         }
-        // Monotonize: more retransmissions may never allow more misses.
-        for i in 1..misses.len() {
-            if misses[i] > misses[i - 1] {
-                misses[i] = misses[i - 1];
-            }
-        }
-        Ok(WeaklyHardProfile {
-            n_tx_min: min,
-            window,
-            misses,
-        })
+        Self::from_table(min, window, misses)
     }
 
     /// Parallel, seed-deterministic variant of
@@ -366,13 +347,7 @@ impl WeaklyHardProfile {
         master_seed: u64,
         policy: ExecPolicy,
     ) -> Result<Self, ProfileError> {
-        let (min, max) = (*n_tx_range.start(), *n_tx_range.end());
-        if min == 0 || min > max || window == 0 {
-            return Err(ProfileError::BadNtxRange { min, max });
-        }
-        if kappa == 0 {
-            return Err(ProfileError::NoRuns);
-        }
+        let (min, max) = checked_range(&n_tx_range, Some(window), kappa)?;
         let _span = netdag_obs::global().span(netdag_obs::keys::SPAN_GLOSSY_PROFILE_WEAKLY_HARD);
         let n_values = max - min + 1;
         let chunks = chunk_count(kappa);
@@ -403,7 +378,7 @@ impl WeaklyHardProfile {
             .map(|per_ntx| {
                 let seq: Sequence = per_ntx.iter().flatten().copied().collect();
                 let worst = seq.max_window_misses(window as usize).unwrap_or(0) as u32;
-                (worst + safety_margin).min(window)
+                worst + safety_margin
             })
             .collect();
         Self::from_table(min, window, misses)
@@ -432,6 +407,7 @@ impl WeaklyHardProfile {
         for m in &mut misses {
             *m = (*m).min(window);
         }
+        // Monotonize: more retransmissions may never allow more misses.
         for i in 1..misses.len() {
             if misses[i] > misses[i - 1] {
                 misses[i] = misses[i - 1];

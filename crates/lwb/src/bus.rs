@@ -20,8 +20,9 @@ pub enum LwbError {
     NodeOutOfRange(TaskId, NodeId),
     /// The host (beacon initiator) is outside the topology.
     HostOutOfRange(NodeId),
-    /// The schedule does not fit the application (wrong message count
-    /// or an unassigned message).
+    /// The schedule does not fit the application
+    /// ([`Schedule::check_shape`] refused it), or a mode switch would
+    /// tear the rounds before its boundary.
     ScheduleMismatch(String),
 }
 
@@ -56,6 +57,16 @@ pub struct RunOutcome {
     pub transmissions: u64,
 }
 
+/// The flood results one run accumulates round by round.
+struct RunState {
+    flood_ok: Vec<bool>,
+    /// Flow-arrow ids per message, tying each sending slot to the
+    /// consumer tasks it feeds (the precedence of eq. (4)).
+    flow_ids: Vec<u64>,
+    beacons_ok: bool,
+    transmissions: u64,
+}
+
 /// Executes a schedule's rounds over a topology, one application run at a
 /// time.
 ///
@@ -72,8 +83,11 @@ pub struct LwbExecutor<'a> {
 }
 
 impl<'a> LwbExecutor<'a> {
-    /// Creates an executor after validating node mappings and schedule
-    /// shape.
+    /// Creates an executor after checking that the host and every task's
+    /// node lie in the topology and that the schedule fits the
+    /// application ([`Schedule::check_shape`]: every message sent in
+    /// exactly one round, every slot and beacon flooded with `N_TX ≥ 1`),
+    /// so that [`Self::run_once`] can flood every round it holds.
     ///
     /// # Errors
     ///
@@ -93,13 +107,9 @@ impl<'a> LwbExecutor<'a> {
                 return Err(LwbError::NodeOutOfRange(t, node));
             }
         }
-        for m in app.messages() {
-            if schedule.round_of(m).is_none() {
-                return Err(LwbError::ScheduleMismatch(format!(
-                    "message {m} is not assigned to any round"
-                )));
-            }
-        }
+        schedule
+            .check_shape(app)
+            .map_err(|e| LwbError::ScheduleMismatch(e.to_string()))?;
         Ok(LwbExecutor {
             app,
             schedule,
@@ -108,22 +118,17 @@ impl<'a> LwbExecutor<'a> {
         })
     }
 
-    /// Executes one round of `schedule` — beacon flood then one
+    /// Executes round `r` of the schedule — beacon flood then one
     /// contention-free slot per message — accumulating flood results into
-    /// the run-level buffers.
-    #[allow(clippy::too_many_arguments)]
+    /// `state`.
     fn execute_round<L: LossModel, R: Rng + ?Sized>(
         &self,
-        schedule: &Schedule,
         r: usize,
-        flood_ok: &mut [bool],
-        flow_ids: &mut [u64],
-        beacons_ok: &mut bool,
-        transmissions: &mut u64,
+        state: &mut RunState,
         link: &mut L,
         rng: &mut R,
     ) {
-        let round = &schedule.rounds()[r];
+        let round = &self.schedule.rounds()[r];
         netdag_obs::counter!(netdag_obs::keys::LWB_ROUNDS_EXECUTED).incr();
         netdag_obs::counter!(netdag_obs::keys::LWB_BEACONS_SENT).incr();
         netdag_obs::counter!(netdag_obs::keys::LWB_SLOTS_EXECUTED).add(round.messages.len() as u64);
@@ -149,8 +154,8 @@ impl<'a> LwbExecutor<'a> {
             )
             .expect("validated parameters")
         };
-        *transmissions += beacon.transmissions();
-        *beacons_ok &= beacon.all_reached();
+        state.transmissions += beacon.transmissions();
+        state.beacons_ok &= beacon.all_reached();
         // One contention-free slot per message.
         for &m in &round.messages {
             let msg = self.app.message(m);
@@ -159,7 +164,7 @@ impl<'a> LwbExecutor<'a> {
                 "lwb.slot",
                 &[
                     ("msg", m.index().into()),
-                    ("chi", schedule.chi(m).into()),
+                    ("chi", self.schedule.chi(m).into()),
                     ("width", msg.width.into()),
                 ],
             );
@@ -168,54 +173,65 @@ impl<'a> LwbExecutor<'a> {
                 link,
                 &FloodParams {
                     initiator,
-                    n_tx: schedule.chi(m),
+                    n_tx: self.schedule.chi(m),
                 },
                 rng,
             )
             .expect("validated parameters");
-            *transmissions += flood.transmissions();
-            flood_ok[m.index()] = msg
+            state.transmissions += flood.transmissions();
+            state.flood_ok[m.index()] = msg
                 .consumers
                 .iter()
                 .all(|&c| flood.reached(self.app.task(c).node));
-            flow_ids[m.index()] = netdag_trace::flow_start("lwb.msg");
+            state.flow_ids[m.index()] = netdag_trace::flow_start("lwb.msg");
         }
+    }
+
+    /// Executes one application run: every round in bus order, announcing
+    /// a mode switch before round `switch_round` when one is given (after
+    /// the last round when it equals the round count), then propagates
+    /// success through the task DAG.
+    fn run<L: LossModel, R: Rng + ?Sized>(
+        &self,
+        switch_round: Option<usize>,
+        link: &mut L,
+        rng: &mut R,
+    ) -> RunOutcome {
+        let msg_count = self.app.message_count();
+        let mut state = RunState {
+            flood_ok: vec![false; msg_count],
+            flow_ids: vec![0; msg_count],
+            beacons_ok: true,
+            transmissions: 0,
+        };
+        let rounds = self.schedule.rounds().len();
+        for r in 0..=rounds {
+            if switch_round == Some(r) {
+                netdag_obs::counter!(netdag_obs::keys::LWB_MODE_SWITCHES).incr();
+                netdag_trace::instant("lwb.mode_switch", &[("round", r.into())]);
+            }
+            if r < rounds {
+                self.execute_round(r, &mut state, link, rng);
+            }
+        }
+        self.propagate(state)
     }
 
     /// Executes one application run: every round in bus order, beacon then
     /// slots, then propagates success through the task DAG.
     pub fn run_once<L: LossModel, R: Rng + ?Sized>(&self, link: &mut L, rng: &mut R) -> RunOutcome {
-        let msg_count = self.app.message_count();
-        let mut flood_ok = vec![false; msg_count];
-        let mut beacons_ok = true;
-        let mut transmissions = 0u64;
-        // Flow-arrow ids per message, tying each sending slot to the
-        // consumer tasks it feeds (the precedence of eq. (4)).
-        let mut flow_ids = vec![0u64; msg_count];
-        for r in 0..self.schedule.rounds().len() {
-            self.execute_round(
-                self.schedule,
-                r,
-                &mut flood_ok,
-                &mut flow_ids,
-                &mut beacons_ok,
-                &mut transmissions,
-                link,
-                rng,
-            );
-        }
-        self.propagate(flood_ok, &flow_ids, beacons_ok, transmissions)
+        self.run(None, link, rng)
     }
 
     /// Propagates flood validity through the task DAG in topological order
     /// and assembles the run outcome.
-    fn propagate(
-        &self,
-        flood_ok: Vec<bool>,
-        flow_ids: &[u64],
-        beacons_ok: bool,
-        transmissions: u64,
-    ) -> RunOutcome {
+    fn propagate(&self, state: RunState) -> RunOutcome {
+        let RunState {
+            flood_ok,
+            flow_ids,
+            beacons_ok,
+            transmissions,
+        } = state;
         let msg_count = self.app.message_count();
         let mut task_ok = vec![true; self.app.task_count()];
         let mut message_ok = vec![false; msg_count];
@@ -265,20 +281,23 @@ impl<'a> LwbExecutor<'a> {
         trace
     }
 
-    /// Validates that a mode switch from the current schedule to `to` at
-    /// the boundary of `switch_round` is tear-free: `to` must cover every
-    /// message, the boundary must lie within both schedules, and the rounds
-    /// before it must be identical (same slots, same start, same beacon and
-    /// per-message `χ`) so that nodes already executing the old plan agree
-    /// with the new one up to the announcement.
-    fn check_switch(&self, to: &Schedule, switch_round: usize) -> Result<(), LwbError> {
-        for m in self.app.messages() {
-            if to.round_of(m).is_none() {
-                return Err(LwbError::ScheduleMismatch(format!(
-                    "message {m} is not assigned to any round of the target schedule"
-                )));
-            }
-        }
+    /// Checks that a mode switch from the current schedule to `to` at the
+    /// boundary of `switch_round` is tear-free, and returns the executor
+    /// of `to`: `to` must fit the application ([`Schedule::check_shape`]),
+    /// the boundary must lie within both schedules, and the rounds before
+    /// it must be identical (same slots, same start, same beacon and
+    /// per-message `χ`) so that nodes already executing the old plan
+    /// agree with the new one up to the announcement.
+    fn check_switch<'b>(
+        &self,
+        to: &'b Schedule,
+        switch_round: usize,
+    ) -> Result<LwbExecutor<'b>, LwbError>
+    where
+        'a: 'b,
+    {
+        to.check_shape(self.app)
+            .map_err(|e| LwbError::ScheduleMismatch(format!("target schedule: {e}")))?;
         let old = self.schedule.rounds();
         let new = to.rounds();
         if switch_round > old.len() || switch_round > new.len() {
@@ -305,7 +324,10 @@ impl<'a> LwbExecutor<'a> {
                 }
             }
         }
-        Ok(())
+        Ok(LwbExecutor {
+            schedule: to,
+            ..*self
+        })
     }
 
     /// Executes one run that switches modes at a round boundary: rounds
@@ -319,16 +341,19 @@ impl<'a> LwbExecutor<'a> {
     /// the call first checks that both schedules agree on every round
     /// before the boundary, which is exactly what the scheduler's
     /// shared-prefix coupling (`netdag_core::modes::schedule_modes`)
-    /// guarantees for boundaries inside the shared prefix.
+    /// guarantees for boundaries inside the shared prefix. So the switched
+    /// run is a run of `to`: it floods what `to`'s own executor would, in
+    /// the same order, and returns the same [`RunOutcome`] from the same
+    /// channel and RNG state.
     ///
     /// Emits the `lwb.mode_switch` trace instant and bumps the
     /// `lwb.mode_switches` counter at the boundary.
     ///
     /// # Errors
     ///
-    /// [`LwbError::ScheduleMismatch`] when `to` does not cover every
-    /// message, the boundary lies beyond either schedule, or a pre-boundary
-    /// round differs between the two schedules.
+    /// [`LwbError::ScheduleMismatch`] when `to` does not fit the
+    /// application, the boundary lies beyond either schedule, or a
+    /// pre-boundary round differs between the two schedules.
     pub fn run_once_with_switch<L: LossModel, R: Rng + ?Sized>(
         &self,
         to: &Schedule,
@@ -336,39 +361,9 @@ impl<'a> LwbExecutor<'a> {
         link: &mut L,
         rng: &mut R,
     ) -> Result<RunOutcome, LwbError> {
-        self.check_switch(to, switch_round)?;
-        let msg_count = self.app.message_count();
-        let mut flood_ok = vec![false; msg_count];
-        let mut beacons_ok = true;
-        let mut transmissions = 0u64;
-        let mut flow_ids = vec![0u64; msg_count];
-        for r in 0..switch_round {
-            self.execute_round(
-                self.schedule,
-                r,
-                &mut flood_ok,
-                &mut flow_ids,
-                &mut beacons_ok,
-                &mut transmissions,
-                link,
-                rng,
-            );
-        }
-        netdag_obs::counter!(netdag_obs::keys::LWB_MODE_SWITCHES).incr();
-        netdag_trace::instant("lwb.mode_switch", &[("round", switch_round.into())]);
-        for r in switch_round..to.rounds().len() {
-            self.execute_round(
-                to,
-                r,
-                &mut flood_ok,
-                &mut flow_ids,
-                &mut beacons_ok,
-                &mut transmissions,
-                link,
-                rng,
-            );
-        }
-        Ok(self.propagate(flood_ok, &flow_ids, beacons_ok, transmissions))
+        Ok(self
+            .check_switch(to, switch_round)?
+            .run(Some(switch_round), link, rng))
     }
 
     /// Replays a mode change: `runs_before` runs under the current
@@ -389,15 +384,14 @@ impl<'a> LwbExecutor<'a> {
         link: &mut L,
         rng: &mut R,
     ) -> Result<ExecutionTrace, LwbError> {
-        self.check_switch(to, switch_round)?;
+        let after = self.check_switch(to, switch_round)?;
         let mut trace = ExecutionTrace::new(self.app.task_count(), self.app.message_count());
         for _ in 0..runs_before {
             trace.record(&self.run_once(link, rng));
             link.advance_between_floods(rng);
         }
-        trace.record(&self.run_once_with_switch(to, switch_round, link, rng)?);
+        trace.record(&after.run(Some(switch_round), link, rng));
         link.advance_between_floods(rng);
-        let after = LwbExecutor::new(self.app, to, self.topo, self.host)?;
         for _ in 0..runs_after {
             trace.record(&after.run_once(link, rng));
             link.advance_between_floods(rng);
@@ -720,5 +714,114 @@ mod tests {
             LwbExecutor::new(&app, &empty, &topo, NodeId(0)),
             Err(LwbError::ScheduleMismatch(_))
         ));
+    }
+
+    /// Schedules that cover every message but that `run_once` could not
+    /// execute (a short χ table, a slot or a beacon with `N_TX = 0`) are
+    /// refused up front.
+    #[test]
+    fn constructor_refuses_what_run_once_cannot_flood() {
+        let app = three_node_app();
+        let schedule = schedule_for(&app);
+        let topo = Topology::line(3).unwrap();
+        let chi: Vec<u32> = app.messages().map(|m| schedule.chi(m)).collect();
+        let starts: Vec<u64> = app.tasks().map(|t| schedule.task_start(t)).collect();
+        let rebuilt = |rounds: Vec<netdag_core::schedule::Round>, chi: Vec<u32>| {
+            Schedule::new(rounds, chi, starts.clone(), *schedule.timing())
+        };
+        let mut zero_slot = chi.clone();
+        zero_slot[1] = 0;
+        let mut zero_beacon = schedule.rounds().to_vec();
+        zero_beacon[0].beacon_chi = 0;
+        for (bad, reason) in [
+            (
+                rebuilt(schedule.rounds().to_vec(), chi[..1].to_vec()),
+                "1 chi entries for 2 messages",
+            ),
+            (
+                rebuilt(schedule.rounds().to_vec(), zero_slot),
+                "message e1 has N_TX = 0",
+            ),
+            (rebuilt(zero_beacon, chi), "round 0 has beacon N_TX = 0"),
+        ] {
+            match LwbExecutor::new(&app, &bad, &topo, NodeId(0)) {
+                Err(LwbError::ScheduleMismatch(m)) => assert!(m.contains(reason), "{m}"),
+                other => panic!("{reason}: {other:?}"),
+            }
+        }
+    }
+
+    /// A switched run is a run of the target schedule: from one seed it
+    /// draws the same floods and returns the same outcome as the target
+    /// executor's `run_once`, and it announces the switch between round
+    /// `k − 1` and round `k` (after the last round when `k` is the round
+    /// count).
+    #[test]
+    fn switched_run_is_a_run_of_the_target_schedule() {
+        use netdag_trace::EventKind;
+        let out = two_mode_outcome();
+        let (nominal, degraded) = (&out.modes[0].schedule, &out.modes[1].schedule);
+        let topo = Topology::line(3).unwrap();
+        let exec = LwbExecutor::new(&out.app, nominal, &topo, NodeId(0)).unwrap();
+        let target = LwbExecutor::new(&out.app, degraded, &topo, NodeId(0)).unwrap();
+        let mut cases: Vec<(&Schedule, &LwbExecutor, usize)> = (0..=out.shared_prefix_rounds)
+            .map(|k| (degraded, &target, k))
+            .collect();
+        cases.push((nominal, &exec, nominal.rounds().len()));
+        for (to, to_exec, k) in cases {
+            let seed = 40 + k as u64;
+            let plain = to_exec.run_once(
+                &mut Bernoulli::new(0.7).unwrap(),
+                &mut ChaCha8Rng::seed_from_u64(seed),
+            );
+            netdag_trace::set_enabled(true);
+            let switched = {
+                // Other tests of this binary may record on their own
+                // threads; this span marks the track to read.
+                let _scope = netdag_trace::span("test.switched_run");
+                exec.run_once_with_switch(
+                    to,
+                    k,
+                    &mut Bernoulli::new(0.7).unwrap(),
+                    &mut ChaCha8Rng::seed_from_u64(seed),
+                )
+                .unwrap()
+            };
+            netdag_trace::set_enabled(false);
+            assert_eq!(switched, plain, "switch at round {k}");
+
+            let events = netdag_trace::drain().events;
+            let tid = events
+                .iter()
+                .find(|e| e.name == "test.switched_run")
+                .expect("scope span recorded")
+                .tid;
+            let events: Vec<_> = events.into_iter().filter(|e| e.tid == tid).collect();
+            let switch = events
+                .iter()
+                .filter(|e| e.kind == EventKind::Instant && e.name == "lwb.mode_switch")
+                .map(|e| e.seq)
+                .collect::<Vec<_>>();
+            assert_eq!(switch.len(), 1, "one announcement at round {k}");
+            let rounds: Vec<(u64, u64)> = events
+                .iter()
+                .filter(|e| e.kind == EventKind::Begin && e.name == "lwb.round")
+                .map(|b| {
+                    let end = events
+                        .iter()
+                        .find(|e| e.kind == EventKind::End && e.id == b.id)
+                        .expect("round span closed");
+                    (b.seq, end.seq)
+                })
+                .collect();
+            assert_eq!(rounds.len(), to.rounds().len());
+            for (r, &(begin, end)) in rounds.iter().enumerate() {
+                if r < k {
+                    assert!(end < switch[0], "round {r} ends before the switch at {k}");
+                } else {
+                    assert!(begin > switch[0], "round {r} opens after the switch at {k}");
+                }
+            }
+        }
     }
 }

@@ -318,32 +318,28 @@ impl ScenarioChannel {
         };
     }
 
-    /// Starts node churn. If churn is already running the parameters
-    /// are recorded for the next phase switch but the live model keeps
-    /// its state (down nodes do not spontaneously heal).
-    pub fn enable_churn(&mut self, p_fail: f64, p_recover: f64) {
-        self.churn = Some((p_fail, p_recover));
-        if let ChannelInner::Plain(link) = &self.inner {
-            let base = link.clone();
-            self.inner = ChannelInner::Churned(Box::new(
-                NodeChurn::new(base, p_fail, p_recover).expect("generated probability in range"),
-            ));
-        }
-    }
-
-    /// Permanently blackholes every link through `node`.
-    pub fn kill_node(&mut self, node: u32) {
-        let id = NodeId(node);
-        if !self.dead.contains(&id) {
-            self.dead.push(id);
-        }
-    }
-
-    /// Applies one scheduled event.
+    /// Applies one scheduled event. [`EventKind::Churn`] starts node
+    /// churn; if churn is already running the parameters are recorded
+    /// for the next phase switch but the live model keeps its state
+    /// (down nodes do not spontaneously heal). [`EventKind::LinkFail`]
+    /// permanently blackholes every link through the node.
     pub fn apply(&mut self, event: &EventKind) {
         match *event {
-            EventKind::Churn { p_fail, p_recover } => self.enable_churn(p_fail, p_recover),
-            EventKind::LinkFail { node } => self.kill_node(node),
+            EventKind::Churn { p_fail, p_recover } => {
+                self.churn = Some((p_fail, p_recover));
+                if let ChannelInner::Plain(link) = &self.inner {
+                    self.inner = ChannelInner::Churned(Box::new(
+                        NodeChurn::new(link.clone(), p_fail, p_recover)
+                            .expect("generated probability in range"),
+                    ));
+                }
+            }
+            EventKind::LinkFail { node } => {
+                let id = NodeId(node);
+                if !self.dead.contains(&id) {
+                    self.dead.push(id);
+                }
+            }
         }
     }
 }

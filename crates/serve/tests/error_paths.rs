@@ -498,6 +498,34 @@ fn workers_live(addr: SocketAddr) -> u64 {
         .workers_live
 }
 
+/// A schedule of the right shape whose rounds never send the pipeline's
+/// message is refused with an error, not validated, and costs no worker.
+#[test]
+fn validate_refuses_a_schedule_that_never_sends_a_message() {
+    let _serial = serial();
+    let addr = start_server(ServeConfig::default());
+    let live = workers_live(addr);
+    let mut c = Client::connect(addr);
+    let solved = c.send(&solve(1));
+    assert_eq!(solved.status, STATUS_OK, "{:?}", solved.reason);
+    let mut schedule = solved.result.expect("schedule");
+    let s = &schedule.schedule;
+    let mut rounds = s.rounds().to_vec();
+    rounds[0].messages.clear();
+    schedule.schedule = Schedule::new(
+        rounds,
+        vec![s.chi(MsgId(0))],
+        vec![s.task_start(TaskId(0)), s.task_start(TaskId(1))],
+        *s.timing(),
+    );
+    c.expect_request_error(
+        &validate(2, &schedule),
+        "schedule does not fit the app: message e0 must appear in exactly one round",
+    );
+    assert_eq!(workers_live(addr), live);
+    c.shutdown();
+}
+
 /// A request line that is not valid UTF-8 gets one `error`, counted as
 /// a request, and the connection stays open.
 #[test]
