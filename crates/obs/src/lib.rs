@@ -32,7 +32,7 @@
 //! [`WindowedHist`], a ring of time-bucketed histograms yielding
 //! rolling p50/p90/p99/max over the recent past in bounded memory, and
 //! [`SloGate`], declarative thresholds evaluated against windowed data
-//! into an [`SloReport`] (the `"slo"` section of `BENCH_serve.json`
+//! into an [`SloReport`] (the `"slo"` section of the soak summary
 //! and the serve daemon's shutdown verdict).
 //!
 //! Snapshots ([`Recorder::snapshot`]) produce a [`MetricsReport`]:

@@ -4,9 +4,9 @@
 //! deadline-expired budget); [`SloGate::evaluate`] checks them against
 //! measured [`SloInputs`] and returns an [`SloReport`] that renders to
 //! both a human summary and stable JSON. The serve daemon evaluates
-//! its gate at shutdown, and `netdag-bench`'s `serve_load` embeds the
-//! report as the `"slo"` section of `BENCH_serve.json` so CI can fail
-//! on regression without parsing human-oriented output.
+//! its gate at shutdown, and `netdag soak` embeds the report as the
+//! `"slo"` section of its summary so CI can fail on regression without
+//! parsing human-oriented output.
 
 use crate::json::push_json_str;
 

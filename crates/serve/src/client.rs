@@ -1,8 +1,8 @@
 //! Blocking newline-JSON TCP client for the serve [`protocol`](crate::protocol).
 //!
-//! Every harness that talks to the daemon — the `serve_load` bench, the
-//! soak driver, integration tests — used to hand-roll the same
-//! ten-line reader/writer pair. This is that pair, once: connect with a
+//! Every harness that talks to the daemon — the soak driver, the
+//! benchmark's soak leg, integration tests — used to hand-roll the
+//! same ten-line reader/writer pair. This is that pair, once: connect with a
 //! generous read timeout (a cold solve on a loaded CI runner can take a
 //! while), write one request per line, block for the one-line reply.
 //!

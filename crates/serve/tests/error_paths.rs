@@ -10,7 +10,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use netdag_core::app::{MsgId, TaskId};
@@ -25,6 +25,7 @@ use netdag_serve::protocol::{
     BatchItem, ConfigSpec, Request, Response, StatSpec, MAX_FRAME_BYTES, STATUS_ERROR, STATUS_OK,
 };
 use netdag_serve::{serve, ServeConfig, WorkerHook};
+use proptest::prelude::*;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -714,4 +715,86 @@ fn deadline_expiry_counts_no_error() {
     assert_eq!(count(keys::SERVE_DEADLINE_EXPIRED) - expired, 1);
 
     c.shutdown();
+}
+
+/// The one daemon every hostile-frame case talks to, once all of its
+/// workers are live.
+fn hostile_frame_daemon() -> SocketAddr {
+    static DAEMON: OnceLock<SocketAddr> = OnceLock::new();
+    *DAEMON.get_or_init(|| {
+        let addr = start_server(ServeConfig::default());
+        let mut polls = 0;
+        while !all_workers_live(&mut Client::connect(addr)) {
+            polls += 1;
+            assert!(polls < 3_000, "the workers never started");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        addr
+    })
+}
+
+/// Whether `health` counts all `shards × workers` workers live.
+fn all_workers_live(c: &mut Client) -> bool {
+    let health = c.send(&request("health", 0)).health.expect("health body");
+    health.workers_live == health.shards * health.workers
+}
+
+/// A hostile request line, newline included: a valid solve cut short
+/// (`kind` 0), that solve's application nested `depth` arrays deep
+/// (`kind` 1), or that solve with one byte at `at` (a fraction of the
+/// line) replaced by `0xff`, which is never valid UTF-8 (`kind` 2).
+fn hostile_frame(kind: u8, at: f64, depth: usize) -> Vec<u8> {
+    let line = serde_json::to_string(&solve(1)).expect("serialize");
+    let offset = ((line.len() as f64 * at) as usize).min(line.len() - 1);
+    let mut frame = match kind {
+        // Keep at least the opening brace: a blank line gets no answer.
+        0 => line.as_bytes()[..offset.max(1)].to_vec(),
+        1 => format!(
+            "{{\"op\": \"solve\", \"app\": {}{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        )
+        .into_bytes(),
+        _ => {
+            let mut bytes = line.into_bytes();
+            bytes[offset] = 0xff;
+            bytes
+        }
+    };
+    frame.push(b'\n');
+    frame
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Truncated JSON, nesting past the parser's depth cap and invalid
+    /// UTF-8 each get exactly one `error` line, counted once: the next
+    /// line on the same connection answers the next request. The cases
+    /// run one at a time, one connection each, against one daemon,
+    /// which still has every worker afterwards and still solves.
+    #[test]
+    fn a_hostile_frame_gets_exactly_one_error_line(
+        (kind, at, depth) in (0u8..3, 0.0f64..1.0, 129usize..1024)
+    ) {
+        let _serial = serial();
+        let addr = hostile_frame_daemon();
+        let mut c = Client::connect(addr);
+        let frame = hostile_frame(kind, at, depth);
+        let errors = count(keys::SERVE_ERRORS);
+        let r = c.send_raw(&frame);
+        prop_assert_eq!(r.status.as_str(), STATUS_ERROR, "{:?}", r);
+        let reason = r.reason.as_deref().unwrap_or("");
+        let expected = [
+            "bad request: ",
+            "bad request: document nested too deeply",
+            "bad request: invalid utf-8",
+        ];
+        prop_assert!(reason.starts_with(expected[usize::from(kind)]), "{:?}", r);
+        prop_assert_eq!(count(keys::SERVE_ERRORS) - errors, 1);
+
+        prop_assert!(all_workers_live(&mut c));
+        let solved = c.send(&solve(3));
+        prop_assert_eq!(solved.status.as_str(), STATUS_OK, "{:?}", solved.reason);
+    }
 }

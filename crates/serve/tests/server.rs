@@ -11,6 +11,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
+use netdag_core::config::SchedulerConfig;
 use netdag_core::modes::{ModeSpec, ModesSpec, SoftModeSpec};
 use netdag_core::spec::{
     AppSpec, EdgeSpec, SoftEntry, SoftSpec, TaskSpec, WeaklyHardEntry, WeaklyHardSpec,
@@ -20,7 +21,7 @@ use netdag_serve::protocol::{
     REASON_SHUTTING_DOWN, STATUS_ERROR, STATUS_INCOMPLETE, STATUS_INFEASIBLE, STATUS_OK,
     STATUS_REJECTED,
 };
-use netdag_serve::{serve, ServeConfig, ServeReport, WorkerHook};
+use netdag_serve::{fingerprint, serve, Ring, ServeConfig, ServeReport, WorkerHook};
 
 /// Serializes this file's daemons (see the module docs).
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -933,29 +934,27 @@ fn deadline_server() -> (std::net::SocketAddr, mpsc::Receiver<ServeReport>) {
 /// The `portfolio: 2` twin of
 /// [`deadline_returns_best_incumbent_marked_incomplete`]: a race polls
 /// the deadline at its 2048-node epoch boundaries, so `deadline_ms = 0`
-/// stops it after its first epoch. Under `wh_spec(20, 40)` one member
-/// has an incumbent by then and the other is still searching (the race
-/// to the end takes 4086 nodes, 3170 of them the loser's).
+/// stops it after its first epoch. Under `wh_spec(15, 40)` neither
+/// member has finished by then, though both hold an incumbent: run to
+/// the end, member 0 proves the optimum after 2521 nodes, in the second
+/// epoch, and the race stops there at 6617 nodes.
 #[test]
 fn portfolio_deadline_returns_best_incumbent_marked_incomplete() {
     let _serial = serial();
     let (addr, report_rx) = deadline_server();
     let mut c = Client::connect(addr);
 
-    let race = ConfigSpec {
-        portfolio: Some(2),
-        ..Default::default()
-    };
-    let mut req = solve_request(1, heavy_app(), Some(wh_spec(20, 40)));
-    req.config = Some(race.clone());
+    let mut req = solve_request(1, heavy_app(), Some(wh_spec(15, 40)));
+    req.config = Some(race_of_two());
     req.deadline_ms = Some(0);
     let r = c.send(&req);
     assert_eq!(r.status, STATUS_INCOMPLETE, "{:?}", r.reason);
     assert_eq!(r.complete, Some(false));
     let incumbent = r.result.expect("best incumbent so far");
+    assert!(!incumbent.optimal);
 
-    let mut full_req = solve_request(2, heavy_app(), Some(wh_spec(20, 40)));
-    full_req.config = Some(race);
+    let mut full_req = solve_request(2, heavy_app(), Some(wh_spec(15, 40)));
+    full_req.config = Some(race_of_two());
     let full = c.send(&full_req);
     assert_eq!(full.status, STATUS_OK);
     assert_eq!(full.cached, Some(false));
@@ -977,32 +976,36 @@ fn portfolio_deadline_returns_best_incumbent_marked_incomplete() {
 /// The `portfolio: 2` twin of
 /// [`mode_solve_deadline_returns_best_incumbent_marked_incomplete`]:
 /// the joint race stops at its first epoch boundary with an incumbent.
-/// (Member 1 has already proved the joint optimum there, so unlike the
-/// one-engine stop the incumbent may carry `optimal`; the answer is
-/// still incomplete because member 0 had not finished.)
+/// With the degraded mode at `(15, 40)` neither member has finished
+/// there: run to the end, member 1 proves the joint optimum after 3041
+/// nodes, in the second epoch, and the race stops there at 7137 nodes.
 #[test]
 fn mode_solve_portfolio_deadline_returns_best_incumbent_marked_incomplete() {
     let _serial = serial();
     let (addr, report_rx) = deadline_server();
     let mut c = Client::connect(addr);
-
-    let race = ConfigSpec {
-        portfolio: Some(2),
-        ..Default::default()
+    let modes = || ModesSpec {
+        modes: vec![
+            wh_mode("nominal", 10, 40, None),
+            wh_mode("degraded", 15, 40, None),
+        ],
+        ..heavy_modes()
     };
-    let mut req = mode_request(1, heavy_modes());
-    req.config = Some(race.clone());
+
+    let mut req = mode_request(1, modes());
+    req.config = Some(race_of_two());
     req.deadline_ms = Some(0);
     let r = c.send(&req);
     assert_eq!(r.status, STATUS_INCOMPLETE, "{:?}", r.reason);
     assert_eq!(r.complete, Some(false));
     let incumbent = r.mode_result.expect("best joint incumbent so far");
+    assert!(!incumbent.optimal);
     let total = |e: &netdag_core::modes::ModeScheduleExport| {
         e.modes.iter().map(|m| m.makespan_us).sum::<u64>()
     };
 
-    let mut full_req = mode_request(2, heavy_modes());
-    full_req.config = Some(race);
+    let mut full_req = mode_request(2, modes());
+    full_req.config = Some(race_of_two());
     let full = c.send(&full_req);
     assert_eq!(full.status, STATUS_OK, "{:?}", full.reason);
     assert_eq!(full.cached, Some(false));
@@ -1021,6 +1024,59 @@ fn mode_solve_portfolio_deadline_returns_best_incumbent_marked_incomplete() {
         .recv_timeout(Duration::from_secs(30))
         .expect("server exits after shutdown");
     assert_eq!(report.deadline_expired, 1);
+}
+
+/// A race that proves the optimum inside its first epoch stops there,
+/// so `deadline_ms = 0` finds it finished: the answer is `ok`, complete
+/// and optimal, and it is cached. Under `wh_spec(20, 40)` member 1
+/// proves it after 916 nodes; with `heavy_modes` member 1 proves the
+/// joint optimum after 1293.
+#[test]
+fn portfolio_proof_in_the_first_epoch_beats_the_deadline() {
+    let _serial = serial();
+    let (addr, report_rx) = deadline_server();
+    let mut c = Client::connect(addr);
+
+    for id in [1, 2] {
+        let mut req = solve_request(id, heavy_app(), Some(wh_spec(20, 40)));
+        req.config = Some(race_of_two());
+        req.deadline_ms = Some(0);
+        let r = c.send(&req);
+        assert_eq!(r.status, STATUS_OK, "{:?}", r.reason);
+        assert_eq!(r.complete, Some(true));
+        assert_eq!(r.cached, Some(id == 2));
+        assert!(r.result.expect("schedule").optimal);
+    }
+    for id in [3, 4] {
+        let mut req = mode_request(id, heavy_modes());
+        req.config = Some(race_of_two());
+        req.deadline_ms = Some(0);
+        let r = c.send(&req);
+        assert_eq!(r.status, STATUS_OK, "{:?}", r.reason);
+        assert_eq!(r.complete, Some(true));
+        assert_eq!(r.cached, Some(id == 4));
+        assert!(r.mode_result.expect("mode schedules").optimal);
+    }
+
+    let body = c
+        .send(&Request::op("cache_stats"))
+        .cache
+        .expect("cache body");
+    assert_eq!((body.misses, body.hits, body.entries), (2, 2, 2));
+
+    c.send(&Request::op("shutdown"));
+    let report = report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits after shutdown");
+    assert_eq!(report.deadline_expired, 0);
+}
+
+/// A two-config portfolio race.
+fn race_of_two() -> ConfigSpec {
+    ConfigSpec {
+        portfolio: Some(2),
+        ..Default::default()
+    }
 }
 
 /// Runs a fixed six-request session against a daemon with `workers`
@@ -1427,4 +1483,157 @@ fn health_counts_each_daemons_own_workers() {
             .recv_timeout(Duration::from_secs(30))
             .expect("server exits");
     }
+}
+
+/// The pipeline with its sensing WCET raised by `family` µs: every
+/// `family` is its own structural family, so it keys its own cache
+/// entry and routes on its own.
+fn family_app(family: u64) -> AppSpec {
+    let mut app = pipeline_app();
+    app.tasks[0].wcet_us += family;
+    app
+}
+
+/// The shard a daemon with `shards` shards routes a solve of
+/// `family_app(family)` under `wh_spec(10, 40)` to: the daemon's route,
+/// from the public fingerprint and ring.
+fn family_shard(family: u64, shards: usize) -> usize {
+    let stat = StatSpec {
+        kind: "eq13".into(),
+        fss: None,
+    };
+    let fp = fingerprint(
+        &family_app(family),
+        None,
+        Some(&wh_spec(10, 40)),
+        &stat,
+        &SchedulerConfig::default(),
+    );
+    Ring::new(shards).route(fp.structural)
+}
+
+/// `batch_solve` amortizes admission by count, not by timing: over a
+/// 4-shard daemon, an N-item batch reaches the workers as one job per
+/// destination shard, where the same N items sent one at a time are N
+/// jobs. (`shard_props.rs` pins the batch's sub-responses byte-equal to
+/// sequential solves.)
+#[test]
+fn batch_solve_reaches_the_workers_as_one_job_per_shard() {
+    const N: u64 = 12;
+    let _serial = serial();
+    let jobs = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&jobs);
+    let hook = WorkerHook::new(move |op, _id| {
+        seen.lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(op.to_owned());
+    });
+    let (addr, report_rx) = start_server(ServeConfig {
+        shards: 4,
+        worker_hook: Some(hook),
+        ..ServeConfig::default()
+    });
+    let mut c = Client::connect(addr);
+    let take_jobs = || std::mem::take(&mut *jobs.lock().unwrap_or_else(|e| e.into_inner()));
+
+    for family in 0..N {
+        let r = c.send(&solve_request(
+            family,
+            family_app(family),
+            Some(wh_spec(10, 40)),
+        ));
+        assert_eq!(r.status, STATUS_OK, "{:?}", r.reason);
+    }
+    assert_eq!(take_jobs(), vec!["solve"; N as usize]);
+
+    let mut batch = Request::op("batch_solve");
+    batch.id = Some(N);
+    batch.batch = Some(
+        (0..N)
+            .map(|family| BatchItem {
+                app: Some(family_app(family)),
+                soft: None,
+                weakly_hard: Some(wh_spec(10, 40)),
+                stat: None,
+            })
+            .collect(),
+    );
+    let r = c.send(&batch);
+    assert_eq!(r.status, STATUS_OK, "{:?}", r.reason);
+    let subs = r.batch.expect("batch responses");
+    assert_eq!(subs.len(), N as usize);
+    assert!(subs.iter().all(|sub| sub.cached == Some(true)), "{subs:?}");
+    let mut shards: Vec<usize> = (0..N).map(|family| family_shard(family, 4)).collect();
+    shards.sort_unstable();
+    shards.dedup();
+    assert!(shards.len() > 1, "the items must span shards: {shards:?}");
+    let batched = take_jobs();
+    assert!(batched.len() <= 4, "{batched:?}");
+    assert_eq!(batched, vec!["batch_solve"; shards.len()]);
+
+    assert_eq!(c.send(&Request::op("shutdown")).status, STATUS_OK);
+    report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits after shutdown");
+}
+
+/// Shards serve in parallel: on a 2-shard daemon with one worker per
+/// shard, two solves routed to different shards are both in service
+/// before either is released. Each worker signals on entering its job
+/// and then waits at a gate the test opens only after both signals, so
+/// the check holds on any core count, and `recv_timeout` turns a
+/// regression into a failure within seconds.
+#[test]
+fn two_shards_serve_two_requests_at_once() {
+    let _serial = serial();
+    let first_on = |shard| {
+        (0..)
+            .find(|&family| family_shard(family, 2) == shard)
+            .expect("a family on every shard")
+    };
+    let families = [first_on(0), first_on(1)];
+    let (entered_tx, entered_rx) = mpsc::channel();
+    let gate = Arc::new(Gate::default());
+    let held = Arc::clone(&gate);
+    let hook = WorkerHook::new(move |_op, id| {
+        let _ = entered_tx.send(id);
+        held.wait();
+    });
+    let (addr, report_rx) = start_server(ServeConfig {
+        shards: 2,
+        workers: 1,
+        worker_hook: Some(hook),
+        ..ServeConfig::default()
+    });
+
+    let mut clients: Vec<Client> = families
+        .iter()
+        .map(|&family| {
+            let mut c = Client::connect(addr);
+            let req = solve_request(family, family_app(family), Some(wh_spec(10, 40)));
+            c.write_line(&serde_json::to_string(&req).expect("serialize"));
+            c
+        })
+        .collect();
+    let mut in_service: Vec<Option<u64>> = (0..2)
+        .map(|_| {
+            entered_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("both requests must be in service at once")
+        })
+        .collect();
+    let mut expected = families.map(Some);
+    in_service.sort_unstable();
+    expected.sort_unstable();
+    assert_eq!(in_service, expected);
+    gate.open();
+
+    for c in &mut clients {
+        let r = c.read_response();
+        assert_eq!(r.status, STATUS_OK, "{:?}", r.reason);
+    }
+    assert_eq!(clients[0].send(&Request::op("shutdown")).status, STATUS_OK);
+    report_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server exits after shutdown");
 }

@@ -88,9 +88,10 @@ impl<'a> Race<'a> {
     }
 
     /// Explores at least `budget` more nodes, or up to the end; returns
-    /// `true` once every engine has finished. Several configs run whole
-    /// epochs, so every result bit is the same however the caller
-    /// slices its budget.
+    /// `true` once every engine has finished or, for several configs,
+    /// at the first epoch boundary where one has proved the optimum.
+    /// Several configs run whole epochs, so every result bit is the same
+    /// however the caller slices its budget.
     pub fn step(&mut self, budget: u64) -> bool {
         if let [engine] = self.engines.as_mut_slice() {
             let done = engine.step(budget);
@@ -115,7 +116,11 @@ impl<'a> Race<'a> {
                 self.stats.add_effort(engine.stats());
                 self.stats.proven_optimal |= engine.stats().proven_optimal;
             }
-            if self.engines.iter().all(Engine::is_done) {
+            // A proof ends the race: it bounds every solution by the
+            // shared incumbent, which later epochs would only inject
+            // again, and engines accept strict improvements only, so no
+            // further epoch can change the winner or its solution.
+            if self.stats.proven_optimal || self.engines.iter().all(Engine::is_done) {
                 return true;
             }
             if self.stats.nodes >= target {
@@ -173,6 +178,20 @@ mod tests {
         race.into_outcome()
     }
 
+    /// Runs a race until every member has finished, past any proof.
+    fn every_member_to_the_end(
+        m: &Model,
+        obj: VarId,
+        configs: &[SearchConfig],
+        policy: ExecPolicy,
+    ) -> SearchOutcome {
+        let mut race = m.race(obj, configs, None, policy).unwrap();
+        while !race.engines.iter().all(Engine::is_done) {
+            race.step(u64::MAX);
+        }
+        race.into_outcome()
+    }
+
     fn tight_scheduling_model() -> (Model, VarId) {
         scheduling_model(&[2, 1, 3, 1], 12)
     }
@@ -221,6 +240,31 @@ mod tests {
         for other in &outcomes[1..] {
             assert_eq!(first.best, other.best, "solutions must be bit-identical");
             assert_eq!(first.stats, other.stats, "stats must be bit-identical");
+        }
+    }
+
+    /// On six equal tasks, member 0 proves the optimum after 1273 nodes,
+    /// inside the first epoch, while members 1 and 2 would run to 7523
+    /// and 14017. The race stops at that first boundary with the same
+    /// solution and winner as a race that runs every member to the end,
+    /// bit-identically at 1, 2 and 8 threads.
+    #[test]
+    fn a_proof_ends_the_race_at_its_epoch_boundary() {
+        let (m, mk) = scheduling_model(&[2; 6], 24);
+        let configs = portfolio_configs(3, None);
+        let stopped = race_to_end(&m, mk, &configs, ExecPolicy::Serial);
+        let full = every_member_to_the_end(&m, mk, &configs, ExecPolicy::Serial);
+        assert_eq!(stopped.best.as_ref().unwrap().value(mk), 12);
+        assert_eq!(stopped.best, full.best);
+        assert_eq!(stopped.stats.portfolio_winner, Some(0));
+        assert_eq!(stopped.stats.portfolio_winner, full.stats.portfolio_winner);
+        assert!(stopped.stats.proven_optimal);
+        assert_eq!(stopped.stats.nodes, 1273 + 2 * EPOCH_NODE_BUDGET);
+        assert_eq!(full.stats.nodes, 1273 + 7523 + 14017);
+        for t in [1usize, 2, 8] {
+            let raced = race_to_end(&m, mk, &configs, ExecPolicy::from_threads(t));
+            assert_eq!(raced.best, stopped.best, "threads {t}");
+            assert_eq!(raced.stats, stopped.stats, "threads {t}");
         }
     }
 
